@@ -91,9 +91,8 @@ class Collector:
             seg_start, seg_end = h1.cards.segment_bounds(idx)
             seg_end = min(seg_end, h1.old_top)
             for obj in h1.old_objects_overlapping(seg_start, seg_end):
-                desc = rt.descriptor_of(obj)
-                for fi in desc.ref_indexes:
-                    slot = obj + desc.fields[fi].offset
+                for offset in rt.descriptor_of(obj).ref_offsets:
+                    slot = obj + offset
                     value = h1.load_word(slot)
                     if value and rt.layout.is_young(value):
                         slots.append((slot, obj))
@@ -109,11 +108,16 @@ class Collector:
         t0 = time.perf_counter()
         self.minor_index += 1
         stats = MinorStats(index=self.minor_index)
+        phases = stats.phase_seconds
 
         backward, stats.h2_cards_scanned = self._scan_h2_cards()
+        phases["h2_scan"] = time.perf_counter() - t0
+        t_phase = time.perf_counter()
         old_slots, scanned_cards, stats.h1_cards_scanned = self._collect_old_card_slots()
+        phases["h1_cards"] = time.perf_counter() - t_phase
 
         # Root values that live in the young generation seed the copy.
+        t_phase = time.perf_counter()
         seeds: list[int] = []
         for value in rt.root_values():
             stats.roots_scanned += 1
@@ -137,15 +141,16 @@ class Collector:
                 queue.append(addr)
         while queue:
             addr = queue.popleft()
-            desc = rt.descriptor_of(addr)
-            for fi in desc.ref_indexes:
-                value = h1.load_word(addr + desc.fields[fi].offset)
+            for offset in rt.descriptor_of(addr).ref_offsets:
+                value = h1.load_word(addr + offset)
                 if value and layout.is_young(value) and value not in visited:
                     visited.add(value)
                     order.append(value)
                     queue.append(value)
+        phases["trace"] = time.perf_counter() - t_phase
 
         # Pass 2: plan destinations.  Aborting here leaves the heap intact.
+        t_phase = time.perf_counter()
         to_idx = 1 - h1.live_surv
         to_cursor = h1.surv_base[to_idx]
         to_limit = h1.surv_base[to_idx] + h1.surv_size
@@ -168,9 +173,11 @@ class Collector:
                 forwarded[addr] = old_cursor
                 promoted.add(addr)
                 old_cursor += size
+        phases["plan"] = time.perf_counter() - t_phase
 
         # Pass 3: copy bytes and bump ages.  Promotion destinations grow
         # monotonically, so appending keeps the old-start index sorted.
+        t_phase = time.perf_counter()
         for addr in order:
             size = h1.object_size(addr)
             dest = forwarded[addr]
@@ -183,21 +190,22 @@ class Collector:
         h1.surv_top[to_idx] = to_cursor
         stats.objects_promoted = len(promoted)
         stats.objects_copied = len(order) - len(promoted)
+        phases["copy"] = time.perf_counter() - t_phase
 
         # Scanned cards are consumed now; the fixup pass below re-dirties
         # any that still guard an old-to-young reference (including cards
         # of objects promoted this cycle, which may land in segments whose
         # stale dirt was just consumed).
+        t_phase = time.perf_counter()
         for idx in scanned_cards:
             h1.cards.clear_index(idx)
 
         # Pass 4: fix every slot that can hold a young address.
         for addr in order:
             dest = forwarded[addr]
-            desc = rt.descriptor_of(dest)
             has_young_ref = False
-            for fi in desc.ref_indexes:
-                slot = dest + desc.fields[fi].offset
+            for offset in rt.descriptor_of(dest).ref_offsets:
+                slot = dest + offset
                 value = h1.load_word(slot)
                 if value in forwarded:
                     value = forwarded[value]
@@ -227,6 +235,7 @@ class Collector:
         h1.reset_eden()
         h1.reset_survivor(h1.live_surv)
         h1.live_surv = to_idx
+        phases["fixup"] = time.perf_counter() - t_phase
 
         stats.backward_refs = len(backward)
         stats.seconds = time.perf_counter() - t0
@@ -255,19 +264,14 @@ class Collector:
         self.major_index += 1
         stats = MajorStats(index=self.major_index)
 
-        if skip_minor:
-            # Invoked from a minor collection that overflowed after its scan
-            # pass; the backward stack is fresh, but re-scanning is harmless
-            # (cards holding references are never cleaned), so cover the
-            # cold-call case too.
-            self._scan_h2_cards()
-        else:
+        # With skip_minor the caller is a minor collection that overflowed.
+        # A minor that overflows does so after its H2 scan, so either way the
+        # backward stack is current here; full compaction below absorbs the
+        # young generation in place.
+        if not skip_minor:
             try:
                 self.minor()
             except PromotionOverflowError:
-                # The failed minor completed its H2 scan before aborting, so
-                # the backward stack is current; full compaction below
-                # absorbs the young generation in place.
                 pass
         stats.old_bytes_before = h1.old_used()
 
@@ -294,9 +298,8 @@ class Collector:
                 note(value)
         while queue:
             addr = queue.popleft()
-            desc = rt.descriptor_of(addr)
-            for fi in desc.ref_indexes:
-                value = rt.load_word(addr + desc.fields[fi].offset)
+            for offset in rt.descriptor_of(addr).ref_offsets:
+                value = h1.load_word(addr + offset)
                 if value:
                     note(value)
 
@@ -340,9 +343,8 @@ class Collector:
             new_starts.append(cursor)
             cursor += size
         for addr in live_sorted:
-            desc = rt.descriptor_of(addr)
-            for fi in desc.ref_indexes:
-                slot = addr + desc.fields[fi].offset
+            for offset in rt.descriptor_of(addr).ref_offsets:
+                slot = addr + offset
                 value = h1.load_word(slot)
                 if value in forwarded:
                     h1.store_word(slot, forwarded[value])

@@ -103,6 +103,11 @@ class RuntimeConfig:
         ):
             if val <= 0:
                 raise ConfigError(f"{name} must be positive, got {val}")
+        for name, val in (("h1.card_segment", h1.card_segment), ("h2.card_segment", h2.card_segment)):
+            # Every other size is a multiple of a card segment, so this keeps
+            # both heaps and every region a whole number of 8-byte words.
+            if val % 8 != 0:
+                raise ConfigError(f"{name} ({val}) must be a multiple of the 8-byte word")
         if h1.young_size % 80 != 0:
             raise ConfigError(
                 f"h1.young_size ({h1.young_size}) must be a multiple of 80 "

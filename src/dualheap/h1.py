@@ -16,6 +16,9 @@ object is derived from the object's start address; scans therefore walk
 every object overlapping a dirty segment, which is a superset of the
 objects whose writes dirtied it.
 
+Words are read and written through one `memoryview` of the heap buffer cast
+to unsigned 64-bit words, indexed by the word offset from the young base.
+
 Object starts in the old generation are tracked in a sorted list.  Old
 space only grows by appending (promotion) and is rebuilt wholesale by
 compaction, so the list stays sorted without ever being re-sorted.
@@ -23,13 +26,11 @@ compaction, so the list stays sorted without ever being re-sorted.
 
 from __future__ import annotations
 
-import struct
+import mmap
 from bisect import bisect_left, bisect_right
 
 from .config import H1Config
 from .objmodel import ClassRegistry, HeapLayout, word_class_id
-
-_U64 = struct.Struct("<Q")
 
 CARD_CLEAN = 0
 CARD_DIRTY = 1
@@ -54,11 +55,16 @@ class H1CardTable:
         self.cards[idx] = CARD_CLEAN
 
     def clear_all(self) -> None:
-        for i in range(self.n_cards):
-            self.cards[i] = CARD_CLEAN
+        self.cards[:] = bytes(self.n_cards)
 
     def dirty_indexes(self) -> list[int]:
-        return [i for i, b in enumerate(self.cards) if b]
+        cards = self.cards
+        out: list[int] = []
+        idx = cards.find(CARD_DIRTY)
+        while idx >= 0:
+            out.append(idx)
+            idx = cards.find(CARD_DIRTY, idx + 1)
+        return out
 
     def segment_bounds(self, idx: int) -> tuple[int, int]:
         start = self.base + idx * self.segment
@@ -69,14 +75,15 @@ class H1Heap:
     def __init__(
         self,
         layout: HeapLayout,
-        buf,
         cfg: H1Config,
         registry: ClassRegistry,
     ) -> None:
         self.layout = layout
-        self.buf = buf
         self.cfg = cfg
         self.registry = registry
+        self.base = layout.young_base
+        self.buf = mmap.mmap(-1, cfg.young_size + cfg.old_size)
+        self.words = memoryview(self.buf).cast("Q")
 
         young = cfg.young_size
         self.eden_base = layout.young_base
@@ -98,29 +105,31 @@ class H1Heap:
 
         self.cards = H1CardTable(self.old_base, cfg.old_size, cfg.card_segment)
 
+    def close(self) -> None:
+        # The view must be released first: an mmap with exported buffers
+        # refuses to close.
+        self.words.release()
+        self.buf.close()
+
     # -- raw word access ----------------------------------------------------
 
-    def _off(self, addr: int) -> int:
-        return addr - self.layout.young_base
-
     def load_word(self, addr: int) -> int:
-        off = self._off(addr)
-        return _U64.unpack_from(self.buf, off)[0]
+        return self.words[(addr - self.base) >> 3]
 
     def store_word(self, addr: int, value: int) -> None:
-        _U64.pack_into(self.buf, self._off(addr), value)
+        self.words[(addr - self.base) >> 3] = value
 
     def read_bytes(self, addr: int, size: int) -> bytes:
-        off = self._off(addr)
-        return bytes(self.buf[off : off + size])
+        off = addr - self.base
+        return self.buf[off : off + size]
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        off = self._off(addr)
+        off = addr - self.base
         self.buf[off : off + len(data)] = data
 
     def zero_range(self, start: int, end: int) -> None:
         if end > start:
-            off = self._off(start)
+            off = start - self.base
             self.buf[off : off + (end - start)] = bytes(end - start)
 
     # -- allocation ---------------------------------------------------------

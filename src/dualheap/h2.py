@@ -23,31 +23,32 @@ objects spanning the stripe edge, so boundary cards are never cleaned
 during scans (only a region reset cleans them).  Consequently a dirty
 boundary card is rescanned on every collection.
 
+A scan pass visits only dirty cards: it asks the card bytes of each owned
+stripe for the next dirty index (`bytearray.find`), so its cost follows the
+number of dirty cards and the bytes they cover, not the size of the table.
 Objects overlapping a dirty segment are located via a per-segment
 first-object table: entry `c` holds the address of the object covering the
 first byte of segment `c`.  Allocation inside a region is gap-free, so a
 covered segment always has an entry, and a walk from that entry parses
 every object overlapping the segment, including one spilling in from the
-preceding segment.
+preceding segment.  Every payload word the walk reads goes through
+`load_word`, the heap's one read path, so a wrapper installed on the
+instance sees all of them.
+
+Payload words are read and written through one `memoryview` of the
+mapping cast to unsigned 64-bit words; the backing file is therefore a
+raw little-endian image of the heap.
 """
 
 from __future__ import annotations
 
 import mmap
-import struct
 from pathlib import Path
 
 from .config import H2Config
 from .errors import HeapCorruptionError, RegionExhaustedError
 from .metrics import Counters
-from .objmodel import (
-    ClassRegistry,
-    FieldKind,
-    HeapLayout,
-    word_class_id,
-)
-
-_U64 = struct.Struct("<Q")
+from .objmodel import ClassRegistry, HeapLayout, word_class_id
 
 CARD_CLEAN = 0
 CARD_DIRTY = 1
@@ -91,9 +92,6 @@ class H2CardTable:
         self.cards[idx] = CARD_DIRTY
         return was_clean
 
-    def clear_index(self, idx: int) -> None:
-        self.cards[idx] = CARD_CLEAN
-
     def is_boundary(self, idx: int) -> bool:
         pos = idx % self.cards_per_stripe
         return pos == 0 or pos == self.cards_per_stripe - 1
@@ -119,10 +117,14 @@ class H2CardTable:
         return start, start + self.segment
 
     def count_dirty(self) -> int:
-        return sum(1 for b in self.cards if b)
+        return self.cards.count(CARD_DIRTY)
 
     def count_dirty_boundary(self) -> int:
-        return sum(1 for i, b in enumerate(self.cards) if b and self.is_boundary(i))
+        per = self.cards_per_stripe
+        first = self.cards[::per].count(CARD_DIRTY)
+        if per == 1:  # the first card of a stripe is also its last
+            return first
+        return first + self.cards[per - 1 :: per].count(CARD_DIRTY)
 
 
 class H2Heap:
@@ -144,6 +146,7 @@ class H2Heap:
         self.n_regions = cfg.size // cfg.region_size
 
         self.buf, self._fh = open_backing(cfg.backing, cfg.size)
+        self.words = memoryview(self.buf).cast("Q")
         self.cards = H2CardTable(
             self.base, cfg.size, cfg.card_segment, cfg.stripe_size, cfg.scan_threads
         )
@@ -163,6 +166,9 @@ class H2Heap:
         self.first_obj = [0] * self.cards.n_cards
 
     def close(self) -> None:
+        # The view must be released first: an mmap with exported buffers
+        # refuses to close.
+        self.words.release()
         self.buf.close()
         if self._fh is not None:
             self._fh.close()
@@ -170,10 +176,10 @@ class H2Heap:
     # -- raw access ---------------------------------------------------------
 
     def load_word(self, addr: int) -> int:
-        return _U64.unpack_from(self.buf, addr - self.base)[0]
+        return self.words[(addr - self.base) >> 3]
 
     def store_word(self, addr: int, value: int) -> None:
-        _U64.pack_into(self.buf, addr - self.base, value)
+        self.words[(addr - self.base) >> 3] = value
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         off = addr - self.base
@@ -181,7 +187,7 @@ class H2Heap:
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         off = addr - self.base
-        return bytes(self.buf[off : off + size])
+        return self.buf[off : off + size]
 
     # -- regions ------------------------------------------------------------
 
@@ -262,47 +268,63 @@ class H2Heap:
         """Walk this thread's dirty cards and collect backward references.
 
         Returns ``(backward_refs, cards_scanned)`` where each backward
-        reference is ``(slot_address, h1_target)``.  A visited card is
-        cleaned only when the walk over every object overlapping its
-        segment found no H1-targeting slot and the card is not a boundary
-        card.
+        reference is ``(slot_address, h1_target)``.  Cards are visited in
+        ascending order.  A visited card is cleaned only when the walk over
+        every object overlapping its segment found no H1-targeting slot and
+        the card is not a boundary card.
         """
+        load = self.load_word  # bound once: every payload read goes through it
+        lookup = self.registry.maybe_get
+        # HeapLayout.is_h1, inlined: this test runs once per reference slot.
+        layout = self.layout
+        young_lo, young_hi = layout.young_base, layout.young_end
+        old_lo, old_hi = layout.old_base, layout.old_end
+        table = self.cards
+        cards = table.cards
+        per = table.cards_per_stripe
+        segment = table.segment
+        per_region = self.cards_per_region
+        base = self.base
+        first_obj = self.first_obj
         refs: list[tuple[int, int]] = []
         cards_scanned = 0
-        layout = self.layout
-        for idx in self.cards.cards_for_thread(thread_id):
-            if self.cards.cards[idx] != CARD_DIRTY:
-                continue
-            cards_scanned += 1
-            seg_start, seg_end = self.cards.segment_bounds(idx)
-            region = (seg_start - self.base) // self.region_size
-            alloc_end = self.region_alloc_end(region)
-            walk_end = min(seg_end, alloc_end)
-            if walk_end > seg_start:
-                self.counters.inc("h2_segment_bytes_walked", walk_end - seg_start)
-            found = 0
-            addr = self.first_obj[idx]
-            while addr and addr < walk_end:
-                size = self.object_size(addr)
-                desc = self.registry.get(word_class_id(self.load_word(addr)))
-                for fi in desc.ref_indexes:
-                    slot = addr + desc.fields[fi].offset
-                    value = self.load_word(slot)
-                    if value and layout.is_h1(value):
-                        refs.append((slot, value))
-                        found += 1
-                addr += size
-            if found == 0 and not self.cards.is_boundary(idx):
-                self.cards.clear_index(idx)
-        self.counters.inc("h2_cards_scanned", cards_scanned)
-        self.counters.inc("backward_refs_found", len(refs))
+        bytes_walked = 0
+        for stripe in range(thread_id, table.n_stripes, table.scan_threads):
+            lo = stripe * per
+            hi = lo + per
+            idx = cards.find(CARD_DIRTY, lo, hi)
+            while idx >= 0:
+                cards_scanned += 1
+                seg_start = base + idx * segment
+                walk_end = min(seg_start + segment, self.region_alloc_end(idx // per_region))
+                if walk_end > seg_start:
+                    bytes_walked += walk_end - seg_start
+                found = 0
+                addr = first_obj[idx]
+                while addr and addr < walk_end:
+                    desc = lookup(word_class_id(load(addr)))
+                    if desc is None:
+                        raise HeapCorruptionError(f"unparseable object header at {addr:#x}")
+                    for offset in desc.ref_offsets:
+                        value = load(addr + offset)
+                        if young_lo <= value < young_hi or old_lo <= value < old_hi:
+                            refs.append((addr + offset, value))
+                            found += 1
+                    addr += desc.instance_size
+                if found == 0 and idx != lo and idx != hi - 1:  # not a boundary card
+                    cards[idx] = CARD_CLEAN
+                idx = cards.find(CARD_DIRTY, idx + 1, hi)
+        counters = self.counters
+        if bytes_walked:
+            counters.inc("h2_segment_bytes_walked", bytes_walked)
+        counters.inc("h2_cards_scanned", cards_scanned)
+        counters.inc("backward_refs_found", len(refs))
         return refs, cards_scanned
 
     # -- liveness: USED bits and region groups ------------------------------
 
     def begin_mark(self) -> None:
-        for i in range(self.n_regions):
-            self.used_bits[i] = False
+        self.used_bits[:] = [False] * self.n_regions
 
     def set_used(self, region_index: int) -> None:
         self.used_bits[region_index] = True
@@ -364,10 +386,10 @@ class H2Heap:
                 self._group_size[i] = 1
                 if self._open_region.get(pid) == i:
                     del self._open_region[pid]
-                card_lo = (self.region_start(i) - self.base) // self.cards.segment
-                for c in range(card_lo, card_lo + self.cards_per_region):
-                    self.cards.clear_index(c)
-                    self.first_obj[c] = 0
+                card_lo = i * self.cards_per_region
+                card_hi = card_lo + self.cards_per_region
+                self.cards.cards[card_lo:card_hi] = bytes(self.cards_per_region)
+                self.first_obj[card_lo:card_hi] = [0] * self.cards_per_region
                 self.counters.inc("reclaim_ops", 3 + 2 * self.cards_per_region)
                 freed.append(i)
         freed.sort()

@@ -22,6 +22,8 @@ class MinorStats:
     h1_cards_scanned: int = 0
     roots_scanned: int = 0
     escalated_to_major: bool = False
+    # h2_scan, h1_cards, trace, plan, copy, fixup; not part of the CSV schema.
+    phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass

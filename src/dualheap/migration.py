@@ -129,12 +129,8 @@ def etr_mark_closure(rt: "Runtime", hinted: list[PersistHint]) -> int:
         stack = [root]
         while stack:
             addr = stack.pop()
-            desc = rt.descriptor_of(addr)
-            for fi in desc.ref_indexes:
-                fs = desc.fields[fi]
-                if fs.transient:
-                    continue
-                target = rt.load_word(addr + fs.offset)
+            for offset in rt.descriptor_of(addr).closure_offsets:
+                target = rt.load_word(addr + offset)
                 if not target or target in visited:
                     continue
                 if rt.layout.is_h2(target):
@@ -259,10 +255,9 @@ def transfer_marked(
     for addr in marked:
         dest = forwarded[addr]
         h2.dirty_card(dest)
-        desc = rt.descriptor_of(dest)
         dest_region = h2.region_of(dest)
-        for fi in desc.ref_indexes:
-            value = h2.load_word(dest + desc.fields[fi].offset)
+        for offset in rt.descriptor_of(dest).ref_offsets:
+            value = h2.load_word(dest + offset)
             if value and rt.layout.is_h2(value):
                 target_region = h2.region_of(value)
                 if target_region != dest_region:

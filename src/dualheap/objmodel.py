@@ -1,6 +1,8 @@
 """Object layout, class descriptors and the header words.
 
-Every object starts with a 16-byte header of two little-endian 64-bit words:
+Every object starts with a 16-byte header of two little-endian 64-bit words
+(both heaps read words in the host's byte order, so importing this module
+on a big-endian host fails):
 
   word 0   bit 0        reserved for a forwarding flag (must read 0 in a
                         parseable header; collection phases that relocate
@@ -20,9 +22,16 @@ survive cache migration as plain cross-heap references.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 
 from .errors import InvalidHandleError, LayoutError
+
+if sys.byteorder != "little":
+    raise ImportError(
+        "dualheap needs a little-endian host: heap words are read in native "
+        "byte order, and the H2 image is a little-endian file format"
+    )
 
 WORD_SIZE = 8
 HEADER_SIZE = 16
@@ -50,9 +59,13 @@ class ClassDescriptor:
     class_id: int
     fields: tuple[FieldSpec, ...]
     instance_size: int
-    # Precomputed index lists so the hot paths never filter.
+    # Precomputed index and offset lists so the hot paths never filter.
     ref_indexes: tuple[int, ...] = field(default=(), compare=False)
     scalar_indexes: tuple[int, ...] = field(default=(), compare=False)
+    # Byte offsets of every reference field, and of the non-transient ones
+    # (the fields cache-closure marking follows), in field order.
+    ref_offsets: tuple[int, ...] = field(default=(), compare=False)
+    closure_offsets: tuple[int, ...] = field(default=(), compare=False)
 
 
 class ClassRegistry:
@@ -83,12 +96,15 @@ class ClassRegistry:
         if class_id > _CLASS_ID_MAX:
             raise LayoutError("class id space exhausted")
         self._next_id += 1
+        refs = [f for f in fields if f.kind is FieldKind.REF]
         desc = ClassDescriptor(
             class_id=class_id,
             fields=fields,
             instance_size=instance_size,
             ref_indexes=tuple(i for i, f in enumerate(fields) if f.kind is FieldKind.REF),
             scalar_indexes=tuple(i for i, f in enumerate(fields) if f.kind is FieldKind.SCALAR),
+            ref_offsets=tuple(f.offset for f in refs),
+            closure_offsets=tuple(f.offset for f in refs if not f.transient),
         )
         self._by_id[class_id] = desc
         return desc

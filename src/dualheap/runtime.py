@@ -6,8 +6,10 @@ plain integer addresses in a combined address space:
 
     [young generation][old generation] ... gap ... [H2 regions]
 
-Loads and stores resolve the backing buffer with a single range check, so
-H1 and H2 objects share one code path and no lookup or translation step.
+Loads and stores resolve the heap with a single range check and then index
+that heap's word view (its buffer cast to unsigned 64-bit words) at the word
+offset from the heap base, so H1 and H2 objects share one code path and no
+lookup or translation step.  Heap addresses of words are 8-byte aligned.
 
 The post-write barrier after every reference store performs one range
 classification and at most one card-byte store: writes into old-generation
@@ -23,9 +25,6 @@ stores and would tolerate more, but multi-mutator runs are out of scope.
 """
 
 from __future__ import annotations
-
-import mmap
-import struct
 
 from .collector import Collector, PromotionOverflowError
 from .config import RuntimeConfig
@@ -54,8 +53,6 @@ from .objmodel import (
     class_age_word,
     word_class_id,
 )
-
-_U64 = struct.Struct("<Q")
 
 H1_BASE = 1 << 16
 _MIB = 1 << 20
@@ -88,9 +85,12 @@ class Runtime:
         self.counters = Counters()
         self.counters_float: dict[str, float] = {}
 
-        self._h1_buf = mmap.mmap(-1, config.h1.young_size + config.h1.old_size)
-        self.h1 = H1Heap(self.layout, self._h1_buf, config.h1, self.registry)
-        self.h2 = H2Heap(self.layout, config.h2, self.registry, self.counters)
+        self.h1 = H1Heap(self.layout, config.h1, self.registry)
+        try:
+            self.h2 = H2Heap(self.layout, config.h2, self.registry, self.counters)
+        except BaseException:
+            self.h1.close()
+            raise
 
         self._roots: dict[int, int] = {}
         self._root_tags: dict[int, int] = {}
@@ -105,7 +105,7 @@ class Runtime:
 
     def close(self) -> None:
         self.h2.close()
-        self._h1_buf.close()
+        self.h1.close()
 
     def __enter__(self) -> "Runtime":
         return self
@@ -117,18 +117,20 @@ class Runtime:
     # word access: one range check resolves either heap
 
     def load_word(self, addr: int) -> int:
-        if self.layout.young_base <= addr < self.layout.old_end:
-            return _U64.unpack_from(self._h1_buf, addr - self.layout.young_base)[0]
-        if self.layout.h2_base <= addr < self.layout.h2_end:
-            return _U64.unpack_from(self.h2.buf, addr - self.layout.h2_base)[0]
+        layout = self.layout
+        if layout.young_base <= addr < layout.old_end:
+            return self.h1.words[(addr - layout.young_base) >> 3]
+        if layout.h2_base <= addr < layout.h2_end:
+            return self.h2.words[(addr - layout.h2_base) >> 3]
         raise InvalidHandleError(f"address {addr:#x} outside all heap spaces")
 
     def store_word(self, addr: int, value: int) -> None:
-        if self.layout.young_base <= addr < self.layout.old_end:
-            _U64.pack_into(self._h1_buf, addr - self.layout.young_base, value)
+        layout = self.layout
+        if layout.young_base <= addr < layout.old_end:
+            self.h1.words[(addr - layout.young_base) >> 3] = value
             return
-        if self.layout.h2_base <= addr < self.layout.h2_end:
-            _U64.pack_into(self.h2.buf, addr - self.layout.h2_base, value)
+        if layout.h2_base <= addr < layout.h2_end:
+            self.h2.words[(addr - layout.h2_base) >> 3] = value
             return
         raise InvalidHandleError(f"address {addr:#x} outside all heap spaces")
 
@@ -186,9 +188,16 @@ class Runtime:
     # ------------------------------------------------------------------
     # field access with the post-write barrier
 
+    @staticmethod
+    def _check_aligned(handle: int) -> None:
+        # Word access would silently round a misaligned handle down.
+        if handle & 7:
+            raise InvalidHandleError(f"handle {handle:#x} is not 8-byte aligned")
+
     def _field(self, obj: int, index: int, kind: FieldKind) -> FieldSpec:
         if not obj:
             raise InvalidHandleError("null handle")
+        self._check_aligned(obj)
         desc = self.descriptor_of(obj)
         if index < 0 or index >= len(desc.fields):
             raise InvalidFieldError(f"field index {index} out of range")
@@ -202,6 +211,7 @@ class Runtime:
         value = target or 0
         if value:
             self.layout.classify(value)  # reject bogus targets early
+            self._check_aligned(value)
         self.store_word(obj + fs.offset, value)
         self.counters.inc("mutator_steps")
         space = self.layout.classify(obj)
@@ -245,6 +255,7 @@ class Runtime:
     def add_root(self, handle: int | None) -> int:
         if handle:
             self.layout.classify(handle)
+            self._check_aligned(handle)
         slot_id = self._next_slot
         self._next_slot += 1
         self._roots[slot_id] = handle or 0

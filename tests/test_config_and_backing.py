@@ -1,8 +1,13 @@
 """Config validation, size parsing, and the file-backed H2 image."""
 
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dualheap
 
 from dualheap import ConfigError, Runtime, SpaceKind
 from dualheap.config import (
@@ -44,6 +49,8 @@ def test_parse_size_rejects_garbage():
         (dict(h2_size=3 * MIB + 512, region=256 * KIB), "h2.region_size"),
         (dict(region=96 * KIB, stripe=64 * KIB), "h2.stripe_size"),
         (dict(stripe=12 * KIB, h2_card=8 * KIB), "h2.card_segment"),
+        (dict(h1_card=500), "h1.card_segment .* 8-byte word"),
+        (dict(h2_card=8 * KIB + 4), "h2.card_segment .* 8-byte word"),
         (dict(threads=3), "scan_threads"),
         (dict(strategy="teleport"), "strategy"),
     ],
@@ -92,3 +99,45 @@ def test_file_backed_mode_behaves_like_anonymous(tmp_path):
     disk = run_trace(events, "TC", make_config(backing=str(tmp_path / "h2.img")))
     assert anon.checksum_digest == disk.checksum_digest
     assert anon.counters["objects_moved_to_h2"] == disk.counters["objects_moved_to_h2"]
+
+
+def test_close_after_collections_releases_both_heaps(tmp_path):
+    cfg = make_config(backing=str(tmp_path / "h2.img"))
+    rt = Runtime(cfg)
+    desc = register_node_class(rt, refs=1, scalars=1)
+    slot = build_chain(rt, desc, 50)
+    rt.persist(rt.read_root(slot), 1)
+    rt.major_collect()
+    rt.write_scalar(rt.read_root(slot), 1, 7)
+    rt.minor_collect()
+    rt.major_collect()
+    rt.close()  # raises BufferError if a view of either mapping is still exported
+    assert rt.h1.buf.closed and rt.h2.buf.closed
+
+
+def test_failed_h2_setup_closes_the_h1_heap(tmp_path, monkeypatch):
+    import dualheap.runtime as runtime_module
+
+    built = []
+
+    class RecordingH1Heap(runtime_module.H1Heap):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(runtime_module, "H1Heap", RecordingH1Heap)
+    cfg = make_config(backing=str(tmp_path / "no-such-dir" / "h2.img"))
+    with pytest.raises(FileNotFoundError):
+        Runtime(cfg)
+    assert len(built) == 1
+    assert built[0].buf.closed
+
+
+def test_import_refuses_big_endian_host():
+    src = Path(dualheap.__file__).resolve().parent.parent
+    code = "import sys; sys.byteorder = 'big'; sys.path.insert(0, sys.argv[1]); import dualheap"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode != 0
+    assert "little-endian" in proc.stderr

@@ -121,3 +121,25 @@ def test_h1_cards_clear_after_major(rt):
     assert sum(rt.h1.cards.cards) > 0
     rt.major_collect()
     assert sum(rt.h1.cards.cards) == 0
+
+
+def test_escalated_minor_scans_h2_cards_once():
+    """The overflowing minor's H2 scan leaves the backward stack current, so
+    the major it escalates to does not scan again."""
+    cfg = make_config(young=80 * KIB, old=96 * KIB, tenuring=1)
+    with Runtime(cfg) as rt:
+        desc = register_node_class(rt, refs=1, scalars=1)
+        garbage = build_chain(rt, desc, 2000)
+        rt.minor_collect()  # tenuring 1: the whole chain is promoted
+        rt.drop_root(garbage)
+        slot = build_chain(rt, desc, 1200)  # too much to promote next to it
+        before = graph_snapshot(rt)
+        threads = []
+        scan = rt.h2.scan_dirty_cards
+        rt.h2.scan_dirty_cards = lambda tid: threads.append(tid) or scan(tid)
+        stats = rt.minor_collect()
+        assert stats.escalated_to_major
+        assert rt.counters["major_count"] == 1
+        assert threads == list(range(cfg.h2.scan_threads))
+        assert graph_snapshot(rt) == before
+        del slot

@@ -152,3 +152,14 @@ def test_dirty_card_idempotent(rt):
     rt.h1.cards.dirty(addr)
     rt.h1.cards.dirty(addr)
     assert sum(rt.h1.cards.cards) == 1
+
+
+def test_minor_reports_phase_seconds(rt):
+    desc = register_node_class(rt)
+    slot = build_chain(rt, desc, 20)
+    stats = rt.minor_collect()
+    phases = stats.phase_seconds
+    assert list(phases) == ["h2_scan", "h1_cards", "trace", "plan", "copy", "fixup"]
+    assert all(t >= 0 for t in phases.values())
+    assert sum(phases.values()) <= stats.seconds
+    del slot

@@ -2,6 +2,7 @@
 
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualheap import Runtime
@@ -233,3 +234,156 @@ def test_boundary_fraction_is_two_per_stripe(rt):
     table = rt.h2.cards
     boundary = sum(1 for i in range(table.n_cards) if table.is_boundary(i))
     assert boundary * table.cards_per_stripe == 2 * table.n_cards
+
+
+# -- find-based fast paths against the per-card loops ----------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    per_stripe=st.sampled_from([1, 2, 3, 8]),
+    n_stripes=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_card_counts_match_brute_force(per_stripe, n_stripes, data):
+    # validate() requires two cards per stripe; the table itself also
+    # handles one, where a card is both first and last of its stripe and
+    # must still be counted once.
+    from dualheap.h2 import H2CardTable
+
+    n_cards = per_stripe * n_stripes
+    table = H2CardTable(0, n_cards * 8, 8, per_stripe * 8, 1)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n_cards, max_size=n_cards))
+    table.cards[:] = bytes(bits)
+    assert table.count_dirty() == sum(1 for b in table.cards if b)
+    assert table.count_dirty_boundary() == sum(
+        1 for i, b in enumerate(table.cards) if b and table.is_boundary(i)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+def test_h1_dirty_indexes_match_enumerate_filter(bits):
+    from dualheap.h1 import H1CardTable
+
+    table = H1CardTable(1 << 16, len(bits) * 512, 512)
+    table.cards[:] = bytes(bits)
+    assert table.dirty_indexes() == [i for i, b in enumerate(table.cards) if b]
+
+
+def reference_scan(h2, thread_id, cards):
+    """The per-card loop the find-based scan replaced, run on `cards` (a
+    copy of the card bytes).  Returns the backward refs and the visited
+    card indexes."""
+    from dualheap.objmodel import word_class_id
+
+    table = h2.cards
+    refs, visited = [], []
+    for idx in table.cards_for_thread(thread_id):
+        if cards[idx] != 1:
+            continue
+        visited.append(idx)
+        seg_start, seg_end = table.segment_bounds(idx)
+        walk_end = min(seg_end, h2.region_alloc_end(h2.region_of(seg_start)))
+        found = 0
+        addr = h2.first_obj[idx]
+        while addr and addr < walk_end:
+            desc = h2.registry.get(word_class_id(h2.load_word(addr)))
+            for fi in desc.ref_indexes:
+                slot = addr + desc.fields[fi].offset
+                value = h2.load_word(slot)
+                if value and h2.layout.is_h1(value):
+                    refs.append((slot, value))
+                    found += 1
+            addr += desc.instance_size
+        if found == 0 and not table.is_boundary(idx):
+            cards[idx] = 0
+    return refs, visited
+
+
+class _RecordingList(list):
+    """Records the indexes read, so a test sees which cards a scan visited."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, idx):
+        self.reads.append(idx)
+        return super().__getitem__(idx)
+
+
+@pytest.fixture(scope="module")
+def scan_heap():
+    """Three migrated partitions spanning several cards and stripes of both
+    scan threads, some of whose transient fields point back into H1."""
+    with Runtime(make_config(h2_card=4 * KIB, stripe=16 * KIB)) as rt:
+        desc = register_node_class(rt, refs=2, scalars=1, transient=(1,))
+        for pid in range(3):
+            slot = build_chain(rt, desc, 600, tag_base=1000 * pid)
+            rt.persist(rt.read_root(slot), pid)
+        rt.major_collect()
+        rng = Random(5)
+        h2_objs = sorted(rt.iter_h2_objects())
+        for obj in rng.sample(h2_objs, 40):
+            young = rt.allocate(desc)
+            rt.add_root(young)
+            rt.write_ref(obj, 1, young)
+        yield rt
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_find_scan_matches_per_card_loop(scan_heap, data):
+    rt = scan_heap
+    h2 = rt.h2
+    n = h2.cards.n_cards
+    start = bytearray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    expected = bytearray(start)
+    h2.cards.cards[:] = start
+    original = h2.first_obj
+    h2.first_obj = _RecordingList(original)
+    try:
+        for tid in range(rt.config.h2.scan_threads):
+            want_refs, want_visited = reference_scan(h2, tid, expected)
+            h2.first_obj.reads.clear()
+            refs, scanned = h2.scan_dirty_cards(tid)
+            assert h2.first_obj.reads == want_visited  # same cards, ascending
+            assert want_visited == sorted(want_visited)
+            assert scanned == len(want_visited)
+            assert refs == want_refs
+            assert h2.cards.cards == expected
+    finally:
+        h2.first_obj = original
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from([40, 4 * KIB + 8, 20 * KIB]), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_reclaim_clears_the_same_cards_as_per_card_loop(sizes, data):
+    cfg = make_config(h2_size=1024 * KIB, region=128 * KIB, stripe=32 * KIB, h2_card=4 * KIB)
+    with Runtime(cfg) as rt:
+        h2 = rt.h2
+        for i, size in enumerate(sizes):
+            h2.allocate_in_region(i % 3, size)
+        bits = data.draw(
+            st.lists(st.integers(0, 1), min_size=h2.cards.n_cards, max_size=h2.cards.n_cards)
+        )
+        h2.cards.cards[:] = bytes(bits)
+        allocated = h2.allocated_regions()
+        keep = data.draw(st.sets(st.sampled_from(allocated)))
+        h2.begin_mark()
+        for r in keep:
+            h2.set_used(r)
+        cards, first_obj = bytearray(h2.cards.cards), list(h2.first_obj)
+        freed = h2.reclaim_free_regions()
+        assert freed == sorted(set(allocated) - keep)
+        for r in freed:
+            card_lo = (h2.region_start(r) - h2.base) // h2.cards.segment
+            for c in range(card_lo, card_lo + h2.cards_per_region):
+                cards[c] = 0
+                first_obj[c] = 0
+        assert h2.cards.cards == cards
+        assert h2.first_obj == first_obj

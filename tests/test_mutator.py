@@ -128,6 +128,21 @@ def test_write_to_null_handle_rejected(rt):
         rt.write_ref(0, 0, None)
 
 
+def test_misaligned_handle_rejected(rt):
+    desc = register_node_class(rt, refs=1, scalars=1)
+    h = rt.allocate(desc)
+    slot = rt.add_root(h)
+    with pytest.raises(InvalidHandleError, match="aligned"):
+        rt.read_scalar(h + 4, 1)
+    with pytest.raises(InvalidHandleError, match="aligned"):
+        rt.write_ref(h + 1, 0, None)
+    with pytest.raises(InvalidHandleError, match="aligned"):
+        rt.write_ref(h, 0, h + 4)
+    with pytest.raises(InvalidHandleError, match="aligned"):
+        rt.add_root(h + 2)
+    del slot
+
+
 # -- reads -----------------------------------------------------------------------
 
 
