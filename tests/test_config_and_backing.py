@@ -49,10 +49,10 @@ def test_parse_size_rejects_garbage():
         (dict(h2_size=3 * MIB + 512, region=256 * KIB), "h2.region_size"),
         (dict(region=96 * KIB, stripe=64 * KIB), "h2.stripe_size"),
         (dict(stripe=12 * KIB, h2_card=8 * KIB), "h2.card_segment"),
-        (dict(h1_card=500), "h1.card_segment .* 8-byte word"),
-        (dict(h2_card=8 * KIB + 4), "h2.card_segment .* 8-byte word"),
         (dict(threads=3), "scan_threads"),
         (dict(strategy="teleport"), "strategy"),
+        (dict(h1_card=500), "h1.card_segment .* 8-byte word"),
+        (dict(h2_card=8 * KIB + 4), "h2.card_segment .* 8-byte word"),
     ],
 )
 def test_validation_names_offending_fields(kw, fragment):
