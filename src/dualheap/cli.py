@@ -32,7 +32,10 @@ SWEEP_PARAMS = ("card_segment", "stripe_size", "h1_size", "write_strategy", "mod
 def _apply_env_overrides(cfg: RuntimeConfig) -> RuntimeConfig:
     seed = os.environ.get("DUALHEAP_SEED")
     if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
+        try:
+            cfg = replace(cfg, seed=int(seed))
+        except ValueError:
+            raise ConfigError(f"DUALHEAP_SEED must be an integer, got {seed!r}") from None
     out = os.environ.get("DUALHEAP_METRICS_OUT")
     if out is not None:
         cfg = replace(cfg, metrics_out=out)

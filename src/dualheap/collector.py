@@ -14,11 +14,11 @@ Major collection runs four phases over the whole of H1:
   mark        breadth-first from roots plus the backward-reference stack;
               never traverses into H2 but records region usage (USED bits),
               then marks the non-transient closure of every persist hint
-  precompact  relocation targets: marked objects get H2 addresses from the
-              region allocator, everything else slides to compacted old
-              addresses (surviving young objects are absorbed into old);
-              H1-side references are rewritten, forward references into H2
-              are left untouched
+  precompact  relocation targets: unmarked survivors slide to compacted
+              old addresses (surviving young objects are absorbed into
+              old), then marked objects get H2 addresses from the region
+              allocator; H1-side references are rewritten, forward
+              references into H2 are left untouched
   compact     marked objects are written to H2 through the configured
               write strategy, then the unmarked survivors slide
   adjust      every slot on the backward-reference stack is rewritten to
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 from .errors import HeapError, HeapExhaustedError
 from .metrics import MajorStats, MinorStats
 from .migration import PersistHint, etr_mark_closure, make_writer, transfer_marked
-from .objmodel import SpaceKind, bump_age, cache_word_partition
+from .objmodel import bump_age, cache_word_partition
 
 if TYPE_CHECKING:
     from .runtime import Runtime
@@ -244,13 +244,11 @@ class Collector:
 
     def _account_minor(self, stats: MinorStats) -> None:
         c = self.rt.counters
-        c.inc("minor_count")
-        c.inc("objects_copied_minor", stats.objects_copied)
-        c.inc("objects_promoted", stats.objects_promoted)
-        c.inc("h1_cards_scanned", stats.h1_cards_scanned)
-        self.rt.counters_float["minor_seconds"] = (
-            self.rt.counters_float.get("minor_seconds", 0.0) + stats.seconds
-        )
+        c["minor_count"] += 1
+        c["objects_copied_minor"] += stats.objects_copied
+        c["objects_promoted"] += stats.objects_promoted
+        c["h1_cards_scanned"] += stats.h1_cards_scanned
+        c["minor_seconds"] += stats.seconds
 
     # ------------------------------------------------------------------
     # major collection
@@ -282,10 +280,9 @@ class Collector:
         queue: deque[int] = deque()
 
         def note(value: int) -> None:
-            space = layout.classify_or_none(value)
-            if space is SpaceKind.H2:
+            if layout.is_h2(value):
                 h2.set_used(h2.region_of(value))
-            elif space is not None and value not in live:
+            elif layout.is_h1(value) and value not in live:
                 live.add(value)
                 queue.append(value)
 
@@ -327,9 +324,7 @@ class Collector:
                 slide_old.append(addr)
             else:
                 absorb_young.append(addr)
-        for addr in marked_list:
-            pid = cache_word_partition(rt.cache_word_of(addr))
-            forwarded[addr] = h2.allocate_in_region(pid, h1.object_size(addr))
+        # The H1 slide is planned first: it fails before any H2 allocation.
         cursor = h1.old_base
         new_starts: list[int] = []
         for addr in slide_old + absorb_young:
@@ -342,6 +337,9 @@ class Collector:
             forwarded[addr] = cursor
             new_starts.append(cursor)
             cursor += size
+        for addr in marked_list:
+            pid = cache_word_partition(rt.cache_word_of(addr))
+            forwarded[addr] = h2.allocate_in_region(pid, h1.object_size(addr))
         for addr in live_sorted:
             for offset in rt.descriptor_of(addr).ref_offsets:
                 slot = addr + offset
@@ -399,9 +397,7 @@ class Collector:
 
     def _account_major(self, stats: MajorStats) -> None:
         c = self.rt.counters
-        c.inc("major_count")
-        cf = self.rt.counters_float
-        cf["major_seconds"] = cf.get("major_seconds", 0.0) + stats.seconds
+        c["major_count"] += 1
+        c["major_seconds"] += stats.seconds
         for phase, secs in stats.phase_seconds.items():
-            key = f"{phase}_seconds"
-            cf[key] = cf.get(key, 0.0) + secs
+            c[f"{phase}_seconds"] += secs

@@ -54,9 +54,6 @@ class H2Config:
     stripe_size: int = 4 * MIB
     scan_threads: int = 4
     backing: str = "anonymous"
-    # When false, purely scalar stores to H2 skip the card barrier; the
-    # default mirrors a barrier that cannot classify the written slot.
-    scalar_writes_dirty: bool = True
 
 
 @dataclass(frozen=True)
@@ -184,17 +181,42 @@ class RuntimeConfig:
         return replace(self, mode=mode)
 
 
-def _build_section(cls, raw: dict, size_keys: set[str], path: str):
+# Accepted value types per field annotation: a bool is not an int, and an
+# int is a valid float (stored as a float, so equal configs hash equally).
+_FIELD_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "str | None": (str, type(None)),
+}
+
+
+def _typed(path: str, value, annotation: str):
+    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[annotation]):
+        raise ConfigError(f"{path} must be {annotation}, got {value!r}")
+    return float(value) if annotation == "float" else value
+
+
+def _build_section(cls, raw, size_keys: set[str], path: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {path} must be a mapping, got {raw!r}")
     kwargs = {}
     for key, value in raw.items():
         if key not in cls.__dataclass_fields__:
             raise ConfigError(f"unknown config key {path}.{key}")
-        kwargs[key] = parse_size(value) if key in size_keys else value
+        if key in size_keys:
+            kwargs[key] = parse_size(value)
+        else:
+            kwargs[key] = _typed(f"{path}.{key}", value, cls.__dataclass_fields__[key].type)
     return cls(**kwargs)
 
 
-def config_from_dict(raw: dict) -> RuntimeConfig:
-    raw = dict(raw or {})
+def config_from_dict(raw: dict | None) -> RuntimeConfig:
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
+    raw = dict(raw)
     kwargs = {}
     if "h1" in raw:
         kwargs["h1"] = _build_section(
@@ -217,17 +239,16 @@ def config_from_dict(raw: dict) -> RuntimeConfig:
         kwargs["mo_old_size"] = parse_size(raw.pop("mo_old_size"))
     for key in ("mode", "seed", "trace", "metrics_out"):
         if key in raw:
-            kwargs[key] = raw.pop(key)
+            kwargs[key] = _typed(key, raw.pop(key), RuntimeConfig.__dataclass_fields__[key].type)
     if raw:
-        raise ConfigError(f"unknown config keys: {sorted(raw)}")
+        raise ConfigError(f"unknown config keys: {sorted(map(str, raw))}")
     return RuntimeConfig(**kwargs).validate()
 
 
 def load_config(path: str | Path) -> RuntimeConfig:
     text = Path(path).read_text()
-    raw = yaml.safe_load(text)
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path} is not valid YAML: {exc}") from None
     return config_from_dict(raw)

@@ -141,15 +141,6 @@ class H1Heap:
         self.eden_top += size
         return addr
 
-    def alloc_old(self, size: int) -> int | None:
-        """Bump allocation in old space, used by promotion and compaction."""
-        if self.old_top + size > self.old_end:
-            return None
-        addr = self.old_top
-        self.old_top += size
-        self.old_starts.append(addr)
-        return addr
-
     def eden_free(self) -> int:
         return self.eden_base + self.eden_size - self.eden_top
 

@@ -43,11 +43,11 @@ raw little-endian image of the heap.
 from __future__ import annotations
 
 import mmap
+from collections import defaultdict
 from pathlib import Path
 
 from .config import H2Config
 from .errors import HeapCorruptionError, RegionExhaustedError
-from .metrics import Counters
 from .objmodel import ClassRegistry, HeapLayout, word_class_id
 
 CARD_CLEAN = 0
@@ -57,13 +57,22 @@ UNASSIGNED = -1
 
 
 def open_backing(backing: str, size: int):
-    """mmap the H2 image: a sparse file, or anonymous memory for tests."""
+    """mmap the H2 image: a new sparse file, or anonymous memory for tests.
+
+    The file is created exclusively, so an existing path raises
+    `FileExistsError` and keeps its bytes; `H2Heap.close()` removes it.
+    """
     if backing == "anonymous":
         return mmap.mmap(-1, size), None
     path = Path(backing)
-    fh = open(path, "w+b")
-    fh.truncate(size)
-    return mmap.mmap(fh.fileno(), size), fh
+    fh = open(path, "x+b")
+    try:
+        fh.truncate(size)
+        return mmap.mmap(fh.fileno(), size), fh
+    except BaseException:
+        fh.close()
+        path.unlink()
+        raise
 
 
 class H2CardTable:
@@ -133,7 +142,7 @@ class H2Heap:
         layout: HeapLayout,
         cfg: H2Config,
         registry: ClassRegistry,
-        counters: Counters,
+        counters: defaultdict[str, int],
     ) -> None:
         self.layout = layout
         self.cfg = cfg
@@ -172,6 +181,8 @@ class H2Heap:
         self.buf.close()
         if self._fh is not None:
             self._fh.close()
+            # This heap created the image, so a later run may reuse the path.
+            Path(self._fh.name).unlink(missing_ok=True)
 
     # -- raw access ---------------------------------------------------------
 
@@ -248,7 +259,7 @@ class H2Heap:
 
     def dirty_card(self, addr: int) -> None:
         if self.cards.dirty_index(self.cards.index_of(addr)):
-            self.counters.inc("h2_cards_dirtied")
+            self.counters["h2_cards_dirtied"] += 1
 
     def object_size(self, addr: int) -> int:
         class_id = word_class_id(self.load_word(addr))
@@ -316,9 +327,9 @@ class H2Heap:
                 idx = cards.find(CARD_DIRTY, idx + 1, hi)
         counters = self.counters
         if bytes_walked:
-            counters.inc("h2_segment_bytes_walked", bytes_walked)
-        counters.inc("h2_cards_scanned", cards_scanned)
-        counters.inc("backward_refs_found", len(refs))
+            counters["h2_segment_bytes_walked"] += bytes_walked
+        counters["h2_cards_scanned"] += cards_scanned
+        counters["backward_refs_found"] += len(refs)
         return refs, cards_scanned
 
     # -- liveness: USED bits and region groups ------------------------------
@@ -369,7 +380,7 @@ class H2Heap:
         for i in range(self.n_regions):
             if self.partition_ids[i] == UNASSIGNED:
                 continue
-            self.counters.inc("reclaim_ops")
+            self.counters["reclaim_ops"] += 1
             root = self.group_root(i)
             groups.setdefault(root, []).append(i)
             group_used[root] = group_used.get(root, False) or self.used_bits[i]
@@ -390,11 +401,11 @@ class H2Heap:
                 card_hi = card_lo + self.cards_per_region
                 self.cards.cards[card_lo:card_hi] = bytes(self.cards_per_region)
                 self.first_obj[card_lo:card_hi] = [0] * self.cards_per_region
-                self.counters.inc("reclaim_ops", 3 + 2 * self.cards_per_region)
+                self.counters["reclaim_ops"] += 3 + 2 * self.cards_per_region
                 freed.append(i)
         freed.sort()
         for i in freed:
             self._free.append(i)
         self._free.sort()
-        self.counters.inc("regions_freed", len(freed))
+        self.counters["regions_freed"] += len(freed)
         return freed

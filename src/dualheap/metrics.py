@@ -1,8 +1,11 @@
 """Collection statistics and run-level metrics.
 
-Work counters are deterministic (objects visited, cards scanned, bytes
-copied) so trend comparisons are machine-independent; wall-clock columns
-exist alongside them but are excluded from determinism guarantees.
+Run totals have one registry, `Runtime.counters`, a `defaultdict(int)`
+that every layer increments in place.  It holds the deterministic work
+counters (objects visited, cards scanned, bytes copied), which make trend
+comparisons machine-independent, and the `*_seconds` wall-clock sums,
+which are excluded from determinism guarantees.  `MinorStats` and
+`MajorStats` are the per-collection records.
 """
 
 from __future__ import annotations
@@ -41,32 +44,8 @@ class MajorStats:
     old_bytes_after: int = 0
 
 
-class Counters:
-    """Flat bag of monotonically increasing integer counters."""
-
-    def __init__(self) -> None:
-        self._values: dict[str, int] = {}
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        self._values[name] = self._values.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._values.get(name, 0)
-
-    def to_dict(self) -> dict[str, int]:
-        return dict(self._values)
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
-
-
-# Column order is fixed: the CSV schema is a function of the tool version.
-REPORT_COLUMNS = [
-    "run_id",
-    "config_hash",
-    "mode",
-    "seed",
-    "wall_seconds",
+# Report columns that are run totals, read from `Runtime.counters`.
+COUNTER_COLUMNS = [
     "mutator_steps",
     "alloc_objects",
     "alloc_bytes",
@@ -95,6 +74,16 @@ REPORT_COLUMNS = [
     "evictions",
     "barrier_h1_hits",
     "barrier_h2_hits",
+]
+
+# Column order is fixed: the CSV schema is a function of the tool version.
+REPORT_COLUMNS = [
+    "run_id",
+    "config_hash",
+    "mode",
+    "seed",
+    "wall_seconds",
+    *COUNTER_COLUMNS,
     "checksum_digest",
 ]
 
@@ -123,7 +112,7 @@ class MetricsReport:
     mode: str
     seed: int
     wall_seconds: float
-    counters: dict[str, int]
+    counters: dict[str, int | float]
     checksums: list[tuple[int, int]] = field(default_factory=list)
     checksum_digest: str = ""
 
@@ -136,7 +125,6 @@ class MetricsReport:
             "wall_seconds": f"{self.wall_seconds:.6f}",
             "checksum_digest": self.checksum_digest,
         }
-        for col in REPORT_COLUMNS:
-            if col not in row:
-                row[col] = self.counters.get(col, 0)
+        for col in COUNTER_COLUMNS:
+            row[col] = self.counters.get(col, 0)
         return row

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InvalidHandleError
 from .objmodel import SpaceKind, cache_word, cache_word_partition
 
 if TYPE_CHECKING:
@@ -100,10 +99,7 @@ def unpersist(rt: "Runtime", partition_id: int) -> None:
     for slot_id in rt.slots_tagged(partition_id):
         value = rt.read_root(slot_id)
         rt.drop_root(slot_id)
-        if value and rt.layout.classify_or_none(value) in (
-            SpaceKind.H1_YOUNG,
-            SpaceKind.H1_OLD,
-        ):
+        if rt.layout.is_h1(value):
             rt.hints.drop(value)
             rt.clear_cache_mark(value)
 
@@ -119,8 +115,7 @@ def etr_mark_closure(rt: "Runtime", hinted: list[PersistHint]) -> int:
     visited: set[int] = set()
     for hint in hinted:
         root = hint.root
-        if rt.layout.classify_or_none(root) is None:
-            raise InvalidHandleError(f"hint root {root:#x} invalid")
+        rt.layout.classify(root)  # raises InvalidHandleError on a bogus root
         if root not in visited:
             visited.add(root)
             if not rt.cache_marked(root):
@@ -262,7 +257,7 @@ def transfer_marked(
                 target_region = h2.region_of(value)
                 if target_region != dest_region:
                     h2.merge_groups(dest_region, target_region)
-    rt.counters.inc("objects_moved_to_h2", moved)
-    rt.counters.inc("bytes_moved_to_h2", total)
-    rt.counters.inc("h2_flush_ops", writer.flush_ops)
+    rt.counters["objects_moved_to_h2"] += moved
+    rt.counters["bytes_moved_to_h2"] += total
+    rt.counters["h2_flush_ops"] += writer.flush_ops
     return moved, total

@@ -129,8 +129,10 @@ class SpaceKind(enum.Enum):
 class HeapLayout:
     """Address-range map of the combined heap: H1 young, H1 old, then H2.
 
-    A gap separates the end of the old generation from the H2 base so that
-    one-past-the-end H1 addresses never alias the first H2 address.
+    The old generation starts where the young generation ends, so H1 is one
+    contiguous range.  A gap separates the end of the old generation from
+    the H2 base so that one-past-the-end H1 addresses never alias the first
+    H2 address.
     """
 
     young_base: int
@@ -149,17 +151,8 @@ class HeapLayout:
             return SpaceKind.H2
         raise InvalidHandleError(f"address {addr:#x} outside all heap spaces")
 
-    def classify_or_none(self, addr: int) -> SpaceKind | None:
-        if self.young_base <= addr < self.young_end:
-            return SpaceKind.H1_YOUNG
-        if self.old_base <= addr < self.old_end:
-            return SpaceKind.H1_OLD
-        if self.h2_base <= addr < self.h2_end:
-            return SpaceKind.H2
-        return None
-
     def is_h1(self, addr: int) -> bool:
-        return self.young_base <= addr < self.old_end and not self.young_end <= addr < self.old_base
+        return self.young_base <= addr < self.old_end
 
     def is_young(self, addr: int) -> bool:
         return self.young_base <= addr < self.young_end

@@ -15,9 +15,8 @@ The post-write barrier after every reference store performs one range
 classification and at most one card-byte store: writes into old-generation
 objects dirty the old-to-young card when the stored value is young, and
 writes into H2 objects dirty the H2 card unconditionally.  Scalar stores
-to H2 dirty the card as well by default (the barrier does not inspect the
-slot kind); the subsequent scan finds no backward reference there and
-cleans the card.
+to H2 dirty the card as well (the barrier does not inspect the slot kind);
+the subsequent scan finds no backward reference there and cleans the card.
 
 Collections are stop-the-world: no mutator call may overlap a collection.
 The runtime is single-mutator; the barrier itself is idempotent byte
@@ -25,6 +24,8 @@ stores and would tolerate more, but multi-mutator runs are out of scope.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .collector import Collector, PromotionOverflowError
 from .config import RuntimeConfig
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .h1 import H1Heap
 from .h2 import H2Heap
-from .metrics import Counters, MajorStats, MinorStats
+from .metrics import MajorStats, MinorStats
 from .migration import HintRegistry
 from .migration import persist as _persist
 from .migration import unpersist as _unpersist
@@ -82,8 +83,8 @@ class Runtime:
         self.config = config
         self.layout = build_layout(config)
         self.registry = ClassRegistry()
-        self.counters = Counters()
-        self.counters_float: dict[str, float] = {}
+        # The one registry of run totals: work counters and *_seconds sums.
+        self.counters: defaultdict[str, int | float] = defaultdict(int)
 
         self.h1 = H1Heap(self.layout, config.h1, self.registry)
         try:
@@ -180,9 +181,9 @@ class Runtime:
             raise HeapExhaustedError(f"cannot allocate {size} bytes")
         # Eden memory is zeroed at reset, so only the class word needs a store.
         self.h1.store_word(addr, class_age_word(desc.class_id, 0))
-        self.counters.inc("alloc_objects")
-        self.counters.inc("alloc_bytes", size)
-        self.counters.inc("mutator_steps")
+        self.counters["alloc_objects"] += 1
+        self.counters["alloc_bytes"] += size
+        self.counters["mutator_steps"] += 1
         return addr
 
     # ------------------------------------------------------------------
@@ -213,11 +214,11 @@ class Runtime:
             self.layout.classify(value)  # reject bogus targets early
             self._check_aligned(value)
         self.store_word(obj + fs.offset, value)
-        self.counters.inc("mutator_steps")
+        self.counters["mutator_steps"] += 1
         space = self.layout.classify(obj)
         if space is SpaceKind.H2:
             self.h2.dirty_card(obj)
-            self.counters.inc("barrier_h2_hits")
+            self.counters["barrier_h2_hits"] += 1
             # A cross-region store inside H2 ties the two regions' fates
             # together; without the group merge the target's group could be
             # reclaimed while this region still points into it.
@@ -228,25 +229,25 @@ class Runtime:
                     self.h2.merge_groups(src, dst)
         elif space is SpaceKind.H1_OLD and value and self.layout.is_young(value):
             self.h1.cards.dirty(obj)
-            self.counters.inc("barrier_h1_hits")
+            self.counters["barrier_h1_hits"] += 1
 
     def write_scalar(self, obj: int, index: int, value: int) -> None:
         fs = self._field(obj, index, FieldKind.SCALAR)
         self.store_word(obj + fs.offset, value & 0xFFFFFFFFFFFFFFFF)
-        self.counters.inc("mutator_steps")
-        if self.layout.is_h2(obj) and self.config.h2.scalar_writes_dirty:
+        self.counters["mutator_steps"] += 1
+        if self.layout.is_h2(obj):
             self.h2.dirty_card(obj)
-            self.counters.inc("barrier_h2_hits")
+            self.counters["barrier_h2_hits"] += 1
 
     def read_ref(self, obj: int, index: int) -> int | None:
         fs = self._field(obj, index, FieldKind.REF)
-        self.counters.inc("mutator_steps")
+        self.counters["mutator_steps"] += 1
         value = self.load_word(obj + fs.offset)
         return value or None
 
     def read_scalar(self, obj: int, index: int) -> int:
         fs = self._field(obj, index, FieldKind.SCALAR)
-        self.counters.inc("mutator_steps")
+        self.counters["mutator_steps"] += 1
         return self.load_word(obj + fs.offset)
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from random import Random
 
 from .config import RuntimeConfig
 from .errors import TraceError
-from .metrics import MetricsReport, REPORT_COLUMNS
+from .metrics import COUNTER_COLUMNS, MetricsReport
 from .objmodel import FieldKind, FieldSpec, HEADER_SIZE, WORD_SIZE
 from .runtime import Runtime
 
@@ -237,11 +237,8 @@ class BaselineSerializer:
             order.append(addr)
             desc = rt.descriptor_of(addr)
             children = []
-            for fi in desc.ref_indexes:
-                fs = desc.fields[fi]
-                if fs.transient:
-                    continue
-                target = rt.load_word(addr + fs.offset)
+            for offset in desc.closure_offsets:
+                target = rt.load_word(addr + offset)
                 if target:
                     children.append(target)
             stack.extend(reversed(children))
@@ -516,8 +513,8 @@ class TraceDriver:
         part = self.partitions[pid]
         blob = self.serializer.serialize(self._root_of(part))
         self._sd_blobs[pid] = blob
-        self.rt.counters.inc("bytes_serialized", len(blob))
-        self.rt.counters.inc("evictions")
+        self.rt.counters["bytes_serialized"] += len(blob)
+        self.rt.counters["evictions"] += 1
         self.rt.drop_root(part.slot_id)
         part.slot_id = None
         self._sd_lru.remove(pid)
@@ -528,7 +525,7 @@ class TraceDriver:
             return
         blob = self._sd_blobs.pop(part.pid)
         root, total = self.serializer.deserialize(blob)
-        self.rt.counters.inc("bytes_deserialized", len(blob))
+        self.rt.counters["bytes_deserialized"] += len(blob)
         part.slot_id = self.rt.add_root(root)
         part.footprint = total
         self._sd_lru.append(part.pid)
@@ -551,11 +548,8 @@ class TraceDriver:
             desc = rt.descriptor_of(addr)
             for si in desc.scalar_indexes:
                 checksum = (checksum + rt.load_word(addr + desc.fields[si].offset)) & _MASK64
-            for fi in desc.ref_indexes:
-                fs = desc.fields[fi]
-                if fs.transient:
-                    continue
-                target = rt.load_word(addr + fs.offset)
+            for offset in desc.closure_offsets:
+                target = rt.load_word(addr + offset)
                 if target and target not in seen:
                     seen.add(target)
                     order.append(target)
@@ -624,22 +618,18 @@ class TraceDriver:
 
     def _report(self, wall: float) -> MetricsReport:
         digest = hashlib.sha256(repr(self.checksums).encode()).hexdigest()[:16]
-        counters = dict(self.rt.counters.to_dict())
-        for key, value in self.rt.counters_float.items():
-            counters[key] = value
+        counters = {k: self.rt.counters.get(k, 0) for k in COUNTER_COLUMNS}
         counters["h2_boundary_dirty"] = self.rt.h2.cards.count_dirty_boundary()
-        report = MetricsReport(
+        return MetricsReport(
             run_id=f"{self.mode.lower()}-{self.config.seed}",
             config_hash=self.config.config_hash(),
             mode=self.mode,
             seed=self.config.seed,
             wall_seconds=wall,
-            counters={k: counters.get(k, 0) for k in REPORT_COLUMNS if k not in
-                      ("run_id", "config_hash", "mode", "seed", "wall_seconds", "checksum_digest")},
+            counters=counters,
             checksums=list(self.checksums),
             checksum_digest=digest,
         )
-        return report
 
 
 def run_trace(

@@ -32,7 +32,6 @@ def make_config(
     strategy="direct_copy",
     batch_buffer=2 * MIB,
     queue_depth=64,
-    scalar_writes_dirty=True,
     **kw,
 ) -> RuntimeConfig:
     return RuntimeConfig(
@@ -49,7 +48,6 @@ def make_config(
             stripe_size=stripe,
             scan_threads=threads,
             backing=backing,
-            scalar_writes_dirty=scalar_writes_dirty,
         ),
         migration=MigrationConfig(
             strategy=strategy, batch_buffer=batch_buffer, queue_depth=queue_depth

@@ -10,10 +10,12 @@ import pytest
 import dualheap
 
 from dualheap import ConfigError, Runtime, SpaceKind
+from dualheap.cli import main
 from dualheap.config import (
     H1Config,
     H2Config,
     RuntimeConfig,
+    config_from_dict,
     parse_size,
 )
 from dualheap.objmodel import word_class_id
@@ -60,6 +62,53 @@ def test_validation_names_offending_fields(kw, fragment):
         make_config(**kw)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"h1": "x"},
+        {"h2": None},
+        {"h2": {"scan_threads": "2"}},
+        {"h1": {"tenuring_threshold": "2"}},
+        {"h1": {"tenuring_threshold": True}},
+        {"migration": {"queue_depth": "64"}},
+        {"sd": {"cache_fraction": "0.5"}},
+        {"seed": "x"},
+        {"trace": 5},
+        {"metrics_out": ["m.csv"]},
+        {"h2": {"backing": 5}},
+        {1: "x", "mode": "TC", "z": 0},
+        ["mode", "TC"],
+    ],
+)
+def test_malformed_config_input_is_a_config_error(raw):
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+
+
+def test_an_int_is_a_valid_float_field():
+    as_int = config_from_dict({"sd": {"cache_fraction": 1}})
+    assert as_int.config_hash() == config_from_dict({"sd": {"cache_fraction": 1.0}}).config_hash()
+
+
+@pytest.mark.parametrize(
+    "text,env_seed,fragment",
+    [
+        ("seed: x\n", None, "seed"),
+        ("h1: x\n", None, "h1"),
+        ("mode: [TC\n", None, "YAML"),
+        ("mode: TC\n", "abc", "DUALHEAP_SEED"),
+    ],
+)
+def test_cli_malformed_config_input_exits_2(tmp_path, monkeypatch, capsys, text, env_seed, fragment):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    if env_seed is not None:
+        monkeypatch.setenv("DUALHEAP_SEED", env_seed)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and fragment in err
+
+
 def test_mode_must_be_known():
     with pytest.raises(ConfigError, match="mode"):
         RuntimeConfig(mode="XX", h1=H1Config(), h2=H2Config()).validate()
@@ -89,6 +138,23 @@ def test_file_backed_h2_is_a_raw_image(tmp_path):
         assert word_class_id(header) == desc.class_id
         (scalar,) = struct.unpack_from("<Q", raw, file_offset + 24)
         assert scalar == 0xDEADBEEF
+
+
+def test_existing_backing_file_is_refused_and_kept(tmp_path):
+    backing = tmp_path / "h2.img"
+    data = bytes(range(256)) * 27 + bytes(88)  # 7,000 bytes
+    backing.write_bytes(data)
+    with pytest.raises(FileExistsError):
+        Runtime(make_config(backing=str(backing)))
+    assert backing.read_bytes() == data
+
+
+def test_backing_file_is_removed_on_close_so_the_path_can_be_reused(tmp_path):
+    backing = tmp_path / "h2.img"
+    for _ in range(2):
+        with Runtime(make_config(backing=str(backing))):
+            assert backing.stat().st_size == 2 * MIB
+        assert not backing.exists()
 
 
 def test_file_backed_mode_behaves_like_anonymous(tmp_path):

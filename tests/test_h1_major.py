@@ -2,7 +2,7 @@
 
 import pytest
 
-from dualheap import Runtime, SpaceKind
+from dualheap import HeapExhaustedError, Runtime, SpaceKind
 
 from conftest import KIB, build_chain, make_config, register_node_class
 from heap_oracle import (
@@ -96,6 +96,34 @@ def test_promotion_overflow_escalates_then_exhausts():
 
         with _pytest.raises(HeapExhaustedError):
             build_chain(rt, desc, 6000)
+
+
+def test_exhausted_major_leaves_h2_untouched():
+    """A major whose H1 slide does not fit fails before it allocates in H2,
+    so H2 stays parseable and a later major migrates the cache in full."""
+    with Runtime(make_config(young=80 * KIB, old=96 * KIB)) as rt:
+        desc = register_node_class(rt, refs=1, scalars=1)
+        cache = build_chain(rt, desc, 300)
+        rt.persist(rt.read_root(cache), 1)
+        filler = []
+        with pytest.raises(HeapExhaustedError):
+            while True:
+                filler.append(rt.add_root(rt.allocate(desc)))
+        assert rt.h2.allocated_regions() == []
+        assert list(rt.iter_h2_objects()) == []
+
+        for slot in filler[:2000]:
+            rt.drop_root(slot)
+        stats = rt.major_collect()
+        assert stats.objects_moved_to_h2 == 300
+        tags = []
+        node = rt.read_root(cache)
+        while node:
+            assert rt.classify_handle(node) is SpaceKind.H2
+            tags.append(rt.read_scalar(node, 1))
+            node = rt.read_ref(node, 0)
+        assert tags == list(range(1000, 1300))
+        assert len(list(rt.iter_h2_objects())) == 300
 
 
 def test_major_runs_embedded_minor_first(rt):

@@ -108,18 +108,6 @@ def test_h2_scalar_write_dirties_then_scan_cleans(rt):
     del before
 
 
-def test_h2_scalar_card_filter_toggle():
-    cfg = make_config(scalar_writes_dirty=False)
-    with Runtime(cfg) as rt:
-        desc = register_node_class(rt)
-        _slot, cached = _h2_object(rt, desc)
-        scan_all_clean(rt)
-        idx = rt.h2.cards.index_of(cached)
-        dirty_before = rt.h2.cards.is_dirty(idx)
-        rt.write_scalar(cached, 1, 4)
-        assert rt.h2.cards.is_dirty(idx) == dirty_before
-
-
 def test_write_to_null_handle_rejected(rt):
     register_node_class(rt)
     with pytest.raises(InvalidHandleError):

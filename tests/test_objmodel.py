@@ -101,16 +101,26 @@ def test_classify_rejects_null_and_out_of_range():
             layout.classify(addr)
 
 
-@given(st.integers(min_value=0, max_value=1 << 40))
+_LAYOUT = build_layout(make_config())
+_EDGES = (_LAYOUT.young_base, _LAYOUT.old_base, _LAYOUT.old_end, _LAYOUT.h2_base, _LAYOUT.h2_end)
+
+
+@given(
+    st.integers(min_value=0, max_value=1 << 40)
+    | st.builds(
+        lambda edge, delta: edge + delta, st.sampled_from(_EDGES), st.integers(-4096, 4096)
+    )
+)
 def test_classify_total_and_disjoint(addr):
-    layout = build_layout(make_config())
+    layout = _LAYOUT
     spaces = [
         layout.young_base <= addr < layout.young_end,
         layout.old_base <= addr < layout.old_end,
         layout.h2_base <= addr < layout.h2_end,
     ]
     if sum(spaces) == 1:
-        assert layout.classify(addr) in (
+        space = layout.classify(addr)
+        assert space in (
             SpaceKind.H1_YOUNG,
             SpaceKind.H1_OLD,
             SpaceKind.H2,
@@ -119,6 +129,12 @@ def test_classify_total_and_disjoint(addr):
         assert sum(spaces) == 0
         with pytest.raises(InvalidHandleError):
             layout.classify(addr)
+        space = None
+    # The predicates are the same classifier, one space at a time.
+    assert layout.is_young(addr) == (space is SpaceKind.H1_YOUNG)
+    assert layout.is_old(addr) == (space is SpaceKind.H1_OLD)
+    assert layout.is_h1(addr) == (space in (SpaceKind.H1_YOUNG, SpaceKind.H1_OLD))
+    assert layout.is_h2(addr) == (space is SpaceKind.H2)
 
 
 # -- header codecs -----------------------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from dualheap import TraceError
+from dualheap import SdConfig, TraceError
+from dualheap.metrics import COUNTER_COLUMNS
 from dualheap.workload import (
     BaselineSerializer,
     TraceDriver,
@@ -212,6 +213,24 @@ def test_mode_equivalence_on_generated_traces():
         for mode in ("TC", "SD", "MO"):
             digests.add(run_trace(events, mode, cfg).checksum_digest)
         assert len(digests) == 1, profile
+
+
+def test_counters_registry_holds_only_report_columns():
+    """`Runtime.counters` accepts any name, so a misspelt counter would be
+    silently dropped from the report; every name must be a report column
+    (or the reclaim work count the tests read)."""
+    allowed = set(COUNTER_COLUMNS) | {"reclaim_ops"}
+    for profile in ("pagerank_like", "cc_like", "uniform"):
+        events = parse_trace(generate_trace(profile, 2, seed=13))
+        # A small SD cache makes SD evict, so the serializer counts too.
+        cfg = make_config(
+            young=80 * KIB, old=512 * KIB, h2_size=4 * MIB, sd=SdConfig(cache_fraction=0.05)
+        )
+        for mode in ("TC", "SD", "MO"):
+            with TraceDriver(cfg, mode=mode) as driver:
+                report = driver.run(events)
+                assert set(driver.rt.counters) <= allowed, (profile, mode)
+            assert list(report.counters) == COUNTER_COLUMNS, (profile, mode)
 
 
 def test_mo_mode_sizes_old_generation_to_hold_everything():
