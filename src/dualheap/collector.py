@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 from .errors import HeapError, HeapExhaustedError
 from .metrics import MajorStats, MinorStats
 from .migration import PersistHint, etr_mark_closure, make_writer, transfer_marked
-from .objmodel import bump_age, cache_word_partition
+from .objmodel import bump_age, cache_word_partition, word_age
 
 if TYPE_CHECKING:
     from .runtime import Runtime
@@ -80,22 +80,26 @@ class Collector:
         """Slots in dirty old segments whose value is young.
 
         Returns (slot, owner) pairs, the card indexes visited, and the
-        number of dirty cards scanned.  Cards are not cleared here; the
-        commit phase clears and selectively re-dirties them.
+        number of dirty cards scanned.  Each card's objects are walked from
+        its first-object entry, as in the H2 scan.  Cards are not cleared
+        here; the commit phase clears and selectively re-dirties them.
         """
         rt = self.rt
         h1 = rt.h1
+        first_obj = h1.first_obj
         slots: list[tuple[int, int]] = []
         dirty = h1.cards.dirty_indexes()
         for idx in dirty:
-            seg_start, seg_end = h1.cards.segment_bounds(idx)
-            seg_end = min(seg_end, h1.old_top)
-            for obj in h1.old_objects_overlapping(seg_start, seg_end):
-                for offset in rt.descriptor_of(obj).ref_offsets:
+            seg_end = min(h1.cards.segment_bounds(idx)[1], h1.old_top)
+            obj = first_obj[idx]
+            while obj and obj < seg_end:
+                desc = rt.descriptor_of(obj)
+                for offset in desc.ref_offsets:
                     slot = obj + offset
                     value = h1.load_word(slot)
                     if value and rt.layout.is_young(value):
                         slots.append((slot, obj))
+                obj += desc.instance_size
         return slots, dirty, len(dirty)
 
     # ------------------------------------------------------------------
@@ -160,7 +164,7 @@ class Collector:
         promoted: set[int] = set()
         for addr in order:
             size = h1.object_size(addr)
-            age = (rt.load_word(addr) >> 1) & 0xFF
+            age = word_age(rt.load_word(addr))
             wants_old = age + 1 >= threshold
             if not wants_old and to_cursor + size <= to_limit:
                 forwarded[addr] = to_cursor
@@ -175,17 +179,19 @@ class Collector:
                 old_cursor += size
         phases["plan"] = time.perf_counter() - t_phase
 
-        # Pass 3: copy bytes and bump ages.  Promotion destinations grow
-        # monotonically, so appending keeps the old-start index sorted.
+        # Pass 3: copy bytes and bump ages.  Promotion destinations grow from
+        # the old top, so the promoted objects enter the index as one run.
         t_phase = time.perf_counter()
+        promoted_at: list[int] = []
         for addr in order:
             size = h1.object_size(addr)
             dest = forwarded[addr]
             h1.write_bytes(dest, h1.read_bytes(addr, size))
             h1.store_word(dest, bump_age(h1.load_word(dest)))
             if addr in promoted:
-                h1.old_starts.append(dest)
+                promoted_at.append(dest)
             stats.bytes_copied += size
+        h1.enter_objects(promoted_at, old_cursor)
         h1.old_top = old_cursor
         h1.surv_top[to_idx] = to_cursor
         stats.objects_promoted = len(promoted)
@@ -324,9 +330,11 @@ class Collector:
                 slide_old.append(addr)
             else:
                 absorb_young.append(addr)
-        # The H1 slide is planned first: it fails before any H2 allocation.
+        # The H1 slide is planned and the H2 room checked first, so either
+        # failure leaves both heaps as they were.
         cursor = h1.old_base
         new_starts: list[int] = []
+        unmoved = 0  # the slide's prefix that keeps its place
         for addr in slide_old + absorb_young:
             size = h1.object_size(addr)
             if cursor + size > h1.old_end:
@@ -335,11 +343,17 @@ class Collector:
                     f"the old generation ({h1.old_end - h1.old_base} bytes)"
                 )
             forwarded[addr] = cursor
+            if cursor == addr:
+                unmoved += 1
             new_starts.append(cursor)
             cursor += size
-        for addr in marked_list:
-            pid = cache_word_partition(rt.cache_word_of(addr))
-            forwarded[addr] = h2.allocate_in_region(pid, h1.object_size(addr))
+        requests = [
+            (cache_word_partition(rt.cache_word_of(addr)), h1.object_size(addr))
+            for addr in marked_list
+        ]
+        h2.check_room(requests)
+        for addr, (pid, size) in zip(marked_list, requests):
+            forwarded[addr] = h2.allocate_in_region(pid, size)
         for addr in live_sorted:
             for offset in rt.descriptor_of(addr).ref_offsets:
                 slot = addr + offset
@@ -356,17 +370,13 @@ class Collector:
         stats.objects_moved_to_h2 = moved
         stats.bytes_moved_to_h2 = bytes_moved
         stats.h2_flush_ops = writer.flush_ops
-        old_top_before = h1.old_top
         for addr in slide_old:
             dest = forwarded[addr]
             if dest != addr:
                 h1.write_bytes(dest, h1.read_bytes(addr, h1.object_size(addr)))
         for addr in absorb_young:
             h1.write_bytes(forwarded[addr], h1.read_bytes(addr, h1.object_size(addr)))
-        if old_top_before > cursor:
-            h1.zero_range(cursor, old_top_before)
-        h1.old_top = cursor
-        h1.old_starts = new_starts
+        h1.finish_slide(new_starts[unmoved:], cursor)
         h1.reset_young()
         h1.cards.clear_all()
         stats.phase_seconds["compact"] = time.perf_counter() - t_phase
@@ -378,11 +388,7 @@ class Collector:
             if value in forwarded:
                 new = forwarded[value]
                 rt.store_word(slot, new)
-                if layout.is_h2(new):
-                    slot_region = h2.region_of(slot)
-                    new_region = h2.region_of(new)
-                    if slot_region != new_region:
-                        h2.merge_groups(slot_region, new_region)
+                h2.note_reference(slot, new)
         rt.backward_stack = []
         stats.phase_seconds["adjust"] = time.perf_counter() - t_phase
 

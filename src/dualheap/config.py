@@ -60,7 +60,6 @@ class H2Config:
 class MigrationConfig:
     strategy: str = "direct_copy"
     batch_buffer: int = 2 * MIB
-    queue_depth: int = 64
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,6 @@ class RuntimeConfig:
             )
         if mig.batch_buffer <= 0:
             raise ConfigError("migration.batch_buffer must be positive")
-        if mig.queue_depth < 1:
-            raise ConfigError("migration.queue_depth must be >= 1")
         if not (0.0 < self.sd.cache_fraction <= 1.0):
             raise ConfigError("sd.cache_fraction must be in (0, 1]")
         if self.mo_old_size is not None and self.mo_old_size % h1.card_segment != 0:

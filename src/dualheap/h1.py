@@ -19,34 +19,21 @@ objects whose writes dirtied it.
 Words are read and written through one `memoryview` of the heap buffer cast
 to unsigned 64-bit words, indexed by the word offset from the young base.
 
-Object starts in the old generation are tracked in a sorted list.  Old
-space only grows by appending (promotion) and is rebuilt wholesale by
-compaction, so the list stays sorted without ever being re-sorted.
+Old-card scans find a card's objects through the first-object table over
+the old cards, as in H2.  Promotion enters the promoted objects; compaction
+re-enters the objects that moved and zeroes the entries past the new top.
 """
 
 from __future__ import annotations
 
 import mmap
-from bisect import bisect_left, bisect_right
 
 from .config import H1Config
-from .objmodel import ClassRegistry, HeapLayout, word_class_id
-
-CARD_CLEAN = 0
-CARD_DIRTY = 1
+from .objmodel import CARD_CLEAN, CARD_DIRTY, CardTable, ClassRegistry, HeapLayout, HeapSpace
 
 
-class H1CardTable:
+class H1CardTable(CardTable):
     """Old-to-young remembered set: one byte per old-generation segment."""
-
-    def __init__(self, old_base: int, old_size: int, segment: int) -> None:
-        self.base = old_base
-        self.segment = segment
-        self.n_cards = old_size // segment
-        self.cards = bytearray(self.n_cards)
-
-    def index_of(self, addr: int) -> int:
-        return (addr - self.base) // self.segment
 
     def dirty(self, addr: int) -> None:
         self.cards[(addr - self.base) // self.segment] = CARD_DIRTY
@@ -66,24 +53,19 @@ class H1CardTable:
             idx = cards.find(CARD_DIRTY, idx + 1)
         return out
 
-    def segment_bounds(self, idx: int) -> tuple[int, int]:
-        start = self.base + idx * self.segment
-        return start, start + self.segment
 
-
-class H1Heap:
+class H1Heap(HeapSpace):
     def __init__(
         self,
         layout: HeapLayout,
         cfg: H1Config,
         registry: ClassRegistry,
     ) -> None:
+        buf = mmap.mmap(-1, cfg.young_size + cfg.old_size)
+        cards = H1CardTable(layout.old_base, cfg.old_size, cfg.card_segment)
+        super().__init__(layout.young_base, buf, registry, cards)
         self.layout = layout
         self.cfg = cfg
-        self.registry = registry
-        self.base = layout.young_base
-        self.buf = mmap.mmap(-1, cfg.young_size + cfg.old_size)
-        self.words = memoryview(self.buf).cast("Q")
 
         young = cfg.young_size
         self.eden_base = layout.young_base
@@ -101,31 +83,6 @@ class H1Heap:
         self.old_base = layout.old_base
         self.old_end = layout.old_end
         self.old_top = self.old_base
-        self.old_starts: list[int] = []
-
-        self.cards = H1CardTable(self.old_base, cfg.old_size, cfg.card_segment)
-
-    def close(self) -> None:
-        # The view must be released first: an mmap with exported buffers
-        # refuses to close.
-        self.words.release()
-        self.buf.close()
-
-    # -- raw word access ----------------------------------------------------
-
-    def load_word(self, addr: int) -> int:
-        return self.words[(addr - self.base) >> 3]
-
-    def store_word(self, addr: int, value: int) -> None:
-        self.words[(addr - self.base) >> 3] = value
-
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        off = addr - self.base
-        return self.buf[off : off + size]
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        off = addr - self.base
-        self.buf[off : off + len(data)] = data
 
     def zero_range(self, start: int, end: int) -> None:
         if end > start:
@@ -149,17 +106,6 @@ class H1Heap:
 
     # -- object walking -----------------------------------------------------
 
-    def object_size(self, addr: int) -> int:
-        class_id = word_class_id(self.load_word(addr))
-        return self.registry.get(class_id).instance_size
-
-    def iter_span(self, start: int, end: int):
-        """Yield object addresses for a gap-free bump-allocated span."""
-        addr = start
-        while addr < end:
-            yield addr
-            addr += self.object_size(addr)
-
     def iter_young_objects(self):
         yield from self.iter_span(self.eden_base, self.eden_top)
         base = self.surv_base[self.live_surv]
@@ -168,24 +114,24 @@ class H1Heap:
     def iter_old_objects(self):
         yield from self.iter_span(self.old_base, self.old_top)
 
-    def old_objects_overlapping(self, seg_start: int, seg_end: int) -> list[int]:
-        """Objects whose extent intersects [seg_start, seg_end).
-
-        The candidate set is every object starting inside the segment plus
-        at most one object spilling in from lower addresses.
-        """
-        starts = self.old_starts
-        lo = bisect_left(starts, seg_start)
-        out: list[int] = []
-        if lo > 0:
-            prev = starts[lo - 1]
-            if prev + self.object_size(prev) > seg_start:
-                out.append(prev)
-        hi = bisect_right(starts, seg_end - 1, lo=lo)
-        out.extend(starts[lo:hi])
-        return out
-
     # -- space management during collections --------------------------------
+
+    def finish_slide(self, moved: list[int], new_top: int) -> None:
+        """Close a compaction of old space that ends at `new_top`.
+
+        `moved` are the new addresses, in order, of the objects that moved;
+        the objects below the first of them kept their places, so their
+        first-object entries still hold.  The space and the entries past
+        the new top are zeroed.
+        """
+        old_top = self.old_top
+        self.zero_range(new_top, old_top)
+        self.old_top = new_top
+        self.enter_objects(moved, new_top)
+        cards = self.cards
+        lo = -((cards.base - new_top) // cards.segment)  # first card at or after new_top
+        hi = -((cards.base - old_top) // cards.segment)
+        self.first_obj[lo:hi] = [0] * (hi - lo)
 
     def reset_eden(self) -> None:
         self.zero_range(self.eden_base, self.eden_top)

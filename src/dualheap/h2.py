@@ -9,10 +9,15 @@ per object:
     marking phase and set whenever marking encounters an H1 reference into
     the region (or when migration appends objects to it);
   * region groups, formed by union-find whenever a cross-region H2
-    reference is created.  A group is reclaimed only as a whole, so a
-    region can never be freed while a sibling holding a reference into it
-    survives.  Merging is a single link; member enumeration is deferred to
-    reclaim time.
+    reference is created (`note_reference`, called by the barrier, the
+    migration and the adjust phase).  A group is reclaimed only as a
+    whole, so a region can never be freed while a sibling holding a
+    reference into it survives.  Merging is a single link; member
+    enumeration is deferred to reclaim time.
+
+A major collection asks `check_room` whether its marked objects fit the
+free regions before it allocates any, under the same bump rule as
+`allocate_in_region`, so running out of regions leaves H2 as it was.
 
 Updates to H2 objects are tracked by a card table with one byte per
 `card_segment` bytes.  For parallel scanning the table is partitioned into
@@ -26,18 +31,14 @@ boundary card is rescanned on every collection.
 A scan pass visits only dirty cards: it asks the card bytes of each owned
 stripe for the next dirty index (`bytearray.find`), so its cost follows the
 number of dirty cards and the bytes they cover, not the size of the table.
-Objects overlapping a dirty segment are located via a per-segment
-first-object table: entry `c` holds the address of the object covering the
-first byte of segment `c`.  Allocation inside a region is gap-free, so a
-covered segment always has an entry, and a walk from that entry parses
-every object overlapping the segment, including one spilling in from the
-preceding segment.  Every payload word the walk reads goes through
-`load_word`, the heap's one read path, so a wrapper installed on the
-instance sees all of them.
+Objects overlapping a dirty segment are located via the first-object
+table (see `HeapSpace`); allocation inside a region is gap-free, so a walk
+from a covered segment's entry parses every object overlapping it.  Every
+payload word the walk reads goes through `load_word`, the heap's one read
+path, so a wrapper installed on the instance sees all of them.
 
-Payload words are read and written through one `memoryview` of the
-mapping cast to unsigned 64-bit words; the backing file is therefore a
-raw little-endian image of the heap.
+Payload words go through the mapping's word view, so the backing file is
+a raw little-endian image of the heap.
 """
 
 from __future__ import annotations
@@ -48,10 +49,15 @@ from pathlib import Path
 
 from .config import H2Config
 from .errors import HeapCorruptionError, RegionExhaustedError
-from .objmodel import ClassRegistry, HeapLayout, word_class_id
-
-CARD_CLEAN = 0
-CARD_DIRTY = 1
+from .objmodel import (
+    CARD_CLEAN,
+    CARD_DIRTY,
+    CardTable,
+    ClassRegistry,
+    HeapLayout,
+    HeapSpace,
+    word_class_id,
+)
 
 UNASSIGNED = -1
 
@@ -75,25 +81,14 @@ def open_backing(backing: str, size: int):
         raise
 
 
-class H2CardTable:
+class H2CardTable(CardTable):
     """Dirtiness bytes for H2 segments, partitioned into stripes and slices."""
 
     def __init__(self, base: int, size: int, segment: int, stripe: int, scan_threads: int) -> None:
-        self.base = base
-        self.segment = segment
-        self.stripe = stripe
+        super().__init__(base, size, segment)
         self.scan_threads = scan_threads
-        self.n_cards = size // segment
         self.cards_per_stripe = stripe // segment
         self.n_stripes = size // stripe
-        self.n_slices = self.n_stripes // scan_threads
-        self.cards = bytearray(self.n_cards)
-
-    def index_of(self, addr: int) -> int:
-        return (addr - self.base) // self.segment
-
-    def is_dirty(self, idx: int) -> bool:
-        return self.cards[idx] == CARD_DIRTY
 
     def dirty_index(self, idx: int) -> bool:
         """Mark a card dirty; returns True on a clean->dirty transition."""
@@ -121,13 +116,6 @@ class H2CardTable:
             start = stripe * self.cards_per_stripe
             yield from range(start, start + self.cards_per_stripe)
 
-    def segment_bounds(self, idx: int) -> tuple[int, int]:
-        start = self.base + idx * self.segment
-        return start, start + self.segment
-
-    def count_dirty(self) -> int:
-        return self.cards.count(CARD_DIRTY)
-
     def count_dirty_boundary(self) -> int:
         per = self.cards_per_stripe
         first = self.cards[::per].count(CARD_DIRTY)
@@ -136,7 +124,7 @@ class H2CardTable:
         return first + self.cards[per - 1 :: per].count(CARD_DIRTY)
 
 
-class H2Heap:
+class H2Heap(HeapSpace):
     def __init__(
         self,
         layout: HeapLayout,
@@ -144,21 +132,18 @@ class H2Heap:
         registry: ClassRegistry,
         counters: defaultdict[str, int],
     ) -> None:
+        buf, self._fh = open_backing(cfg.backing, cfg.size)
+        cards = H2CardTable(
+            layout.h2_base, cfg.size, cfg.card_segment, cfg.stripe_size, cfg.scan_threads
+        )
+        super().__init__(layout.h2_base, buf, registry, cards)
         self.layout = layout
         self.cfg = cfg
-        self.registry = registry
         self.counters = counters
 
-        self.base = layout.h2_base
         self.size = cfg.size
         self.region_size = cfg.region_size
         self.n_regions = cfg.size // cfg.region_size
-
-        self.buf, self._fh = open_backing(cfg.backing, cfg.size)
-        self.words = memoryview(self.buf).cast("Q")
-        self.cards = H2CardTable(
-            self.base, cfg.size, cfg.card_segment, cfg.stripe_size, cfg.scan_threads
-        )
         self.cards_per_region = cfg.region_size // cfg.card_segment
 
         # Per-region metadata.
@@ -171,34 +156,12 @@ class H2Heap:
         self._free: list[int] = list(range(self.n_regions))  # kept sorted
         self._open_region: dict[int, int] = {}  # partition id -> region index
 
-        # first-object table, one entry per card segment (0 == no object).
-        self.first_obj = [0] * self.cards.n_cards
-
     def close(self) -> None:
-        # The view must be released first: an mmap with exported buffers
-        # refuses to close.
-        self.words.release()
-        self.buf.close()
+        super().close()
         if self._fh is not None:
             self._fh.close()
             # This heap created the image, so a later run may reuse the path.
             Path(self._fh.name).unlink(missing_ok=True)
-
-    # -- raw access ---------------------------------------------------------
-
-    def load_word(self, addr: int) -> int:
-        return self.words[(addr - self.base) >> 3]
-
-    def store_word(self, addr: int, value: int) -> None:
-        self.words[(addr - self.base) >> 3] = value
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        off = addr - self.base
-        self.buf[off : off + len(data)] = data
-
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        off = addr - self.base
-        return self.buf[off : off + size]
 
     # -- regions ------------------------------------------------------------
 
@@ -222,6 +185,28 @@ class H2Heap:
         self._open_region[partition_id] = idx
         return idx
 
+    def _fits_open_region(self, fill: int | None, size: int) -> bool:
+        """The bump rule: `size` bytes fit a partition's open region filled
+        to `fill` bytes (None: no open region), or they open a fresh one."""
+        if size > self.region_size:
+            raise RegionExhaustedError(
+                f"object of {size} bytes exceeds region size {self.region_size}"
+            )
+        return fill is not None and fill + size <= self.region_size
+
+    def check_room(self, requests: list[tuple[int, int]]) -> None:
+        """Raise `RegionExhaustedError`, changing nothing, unless allocating
+        the `(partition_id, size)` requests in order fits the free regions."""
+        fill = {pid: self.alloc_offsets[idx] for pid, idx in self._open_region.items()}
+        fresh = 0
+        for pid, size in requests:
+            if not self._fits_open_region(fill.get(pid), size):
+                fresh += 1
+                fill[pid] = 0
+            fill[pid] += size
+        if fresh > len(self._free):
+            raise RegionExhaustedError(f"{fresh} fresh H2 regions needed, {len(self._free)} free")
+
     def allocate_in_region(self, partition_id: int, size: int) -> int:
         """Bump-allocate `size` bytes in the partition's open region.
 
@@ -230,50 +215,20 @@ class H2Heap:
         inbound references were just created, so it must survive the
         reclaim at the end of the cycle that populated it.
         """
-        if size > self.region_size:
-            raise RegionExhaustedError(
-                f"object of {size} bytes exceeds region size {self.region_size}"
-            )
         idx = self._open_region.get(partition_id)
-        if idx is None:
-            idx = self._take_free_region(partition_id)
-        if self.alloc_offsets[idx] + size > self.region_size:
+        if not self._fits_open_region(None if idx is None else self.alloc_offsets[idx], size):
             idx = self._take_free_region(partition_id)
         addr = self.region_start(idx) + self.alloc_offsets[idx]
         self.alloc_offsets[idx] += size
         self.used_bits[idx] = True
-        self._update_first_obj(addr, size)
+        self.enter_objects([addr], addr + size)
         return addr
-
-    def _update_first_obj(self, addr: int, size: int) -> None:
-        # Claim every segment whose first byte falls inside [addr, addr+size).
-        seg = self.cards.segment
-        first = self.cards.index_of(addr)
-        if addr == self.base + first * seg and self.first_obj[first] == 0:
-            self.first_obj[first] = addr
-        last = self.cards.index_of(addr + size - 1)
-        for c in range(first + 1, last + 1):
-            self.first_obj[c] = addr
 
     # -- cards --------------------------------------------------------------
 
     def dirty_card(self, addr: int) -> None:
         if self.cards.dirty_index(self.cards.index_of(addr)):
             self.counters["h2_cards_dirtied"] += 1
-
-    def object_size(self, addr: int) -> int:
-        class_id = word_class_id(self.load_word(addr))
-        desc = self.registry.maybe_get(class_id)
-        if desc is None:
-            raise HeapCorruptionError(f"unparseable object header at {addr:#x}")
-        return desc.instance_size
-
-    def iter_region_objects(self, idx: int):
-        addr = self.region_start(idx)
-        end = self.region_alloc_end(idx)
-        while addr < end:
-            yield addr
-            addr += self.object_size(addr)
 
     def scan_dirty_cards(self, thread_id: int) -> tuple[list[tuple[int, int]], int]:
         """Walk this thread's dirty cards and collect backward references.
@@ -348,6 +303,18 @@ class H2Heap:
         while parent[idx] != root:  # path compression
             parent[idx], idx = root, parent[idx]
         return root
+
+    def note_reference(self, slot: int, target: int) -> None:
+        """Record that the H2 word at `slot` holds `target`.
+
+        A target in another H2 region merges the two regions' groups, so
+        the target's group cannot be reclaimed while this region still
+        points into it.
+        """
+        if self.base <= target < self.base + self.size:
+            src, dst = self.region_of(slot), self.region_of(target)
+            if src != dst:
+                self.merge_groups(src, dst)
 
     def merge_groups(self, src_region: int, dst_region: int) -> None:
         """Union the two regions' groups; constant-time link by size."""

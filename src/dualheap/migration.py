@@ -147,42 +147,35 @@ class DirectCopyWriter:
     def __init__(self, h2) -> None:
         self.h2 = h2
         self.flush_ops = 0
-        self.bytes_written = 0
 
     def write(self, dest: int, data: bytes) -> None:
         self.h2.write_bytes(dest, data)
         self.flush_ops += 1
-        self.bytes_written += len(data)
 
     def finish(self) -> None:
         pass
 
 
 class BatchedAsyncWriter:
-    """Byte-stream buffering with a bounded in-flight queue.
+    """Byte-stream buffering in fixed-size flushes.
 
     Object images are appended to a fixed-size buffer and may straddle a
     flush boundary, so every flush except the last carries exactly
     `buffer_size` bytes: the number of flush operations for B bytes moved
     is ceil(B / buffer_size).  A flush models one asynchronous submission;
-    at most `queue_depth` are in flight, and finish() drains the queue, so
-    the H2 image is complete before compaction ends.  The resulting bytes
-    are identical to the direct-copy path.
+    finish() flushes the remainder, so the H2 image is complete before
+    compaction ends.  The resulting bytes are identical to the direct-copy
+    path.
     """
 
-    def __init__(self, h2, buffer_size: int, queue_depth: int) -> None:
+    def __init__(self, h2, buffer_size: int) -> None:
         self.h2 = h2
         self.buffer_size = buffer_size
-        self.queue_depth = queue_depth
         self.flush_ops = 0
-        self.bytes_written = 0
-        self.max_in_flight = 0
         self._fill = 0
         self._entries: list[tuple[int, bytes]] = []
-        self._in_flight: list[list[tuple[int, bytes]]] = []
 
     def write(self, dest: int, data: bytes) -> None:
-        self.bytes_written += len(data)
         view = memoryview(data)
         while view.nbytes:
             room = self.buffer_size - self._fill
@@ -192,34 +185,26 @@ class BatchedAsyncWriter:
             dest += chunk.nbytes
             view = view[chunk.nbytes:]
             if self._fill == self.buffer_size:
-                self._submit()
+                self._flush()
 
-    def _submit(self) -> None:
+    def _flush(self) -> None:
         if not self._entries:
             return
-        self._in_flight.append(self._entries)
+        for dest, data in self._entries:
+            self.h2.write_bytes(dest, data)
         self._entries = []
         self._fill = 0
         self.flush_ops += 1
-        self.max_in_flight = max(self.max_in_flight, len(self._in_flight))
-        if len(self._in_flight) > self.queue_depth:
-            self._complete(self._in_flight.pop(0))
-
-    def _complete(self, batch: list[tuple[int, bytes]]) -> None:
-        for dest, data in batch:
-            self.h2.write_bytes(dest, data)
 
     def finish(self) -> None:
-        self._submit()
-        while self._in_flight:
-            self._complete(self._in_flight.pop(0))
+        self._flush()
 
 
 def make_writer(rt: "Runtime"):
     cfg = rt.config.migration
     if cfg.strategy == "direct_copy":
         return DirectCopyWriter(rt.h2)
-    return BatchedAsyncWriter(rt.h2, cfg.batch_buffer, cfg.queue_depth)
+    return BatchedAsyncWriter(rt.h2, cfg.batch_buffer)
 
 
 def transfer_marked(
@@ -232,8 +217,8 @@ def transfer_marked(
 
     Fields were already rewritten through the relocation map, so the
     copied image is final.  Each landed object's card is dirtied without
-    inspecting fields; reference fields are then walked once to detect
-    cross-region H2 references, which merge the regions' groups.  H1
+    inspecting fields; reference fields are then walked once so that
+    cross-region H2 references merge the regions' groups.  H1
     targets remaining in (transient) fields become backward references and
     are picked up by the next dirty-card scan.
     """
@@ -250,13 +235,8 @@ def transfer_marked(
     for addr in marked:
         dest = forwarded[addr]
         h2.dirty_card(dest)
-        dest_region = h2.region_of(dest)
         for offset in rt.descriptor_of(dest).ref_offsets:
-            value = h2.load_word(dest + offset)
-            if value and rt.layout.is_h2(value):
-                target_region = h2.region_of(value)
-                if target_region != dest_region:
-                    h2.merge_groups(dest_region, target_region)
+            h2.note_reference(dest, h2.load_word(dest + offset))
     rt.counters["objects_moved_to_h2"] += moved
     rt.counters["bytes_moved_to_h2"] += total
     rt.counters["h2_flush_ops"] += writer.flush_ops

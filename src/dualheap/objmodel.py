@@ -17,6 +17,10 @@ Fields follow the header as 8-byte slots.  A field is either a reference
 64-bit word).  Reference fields may carry a transient flag: such fields are
 excluded from cache-closure marking and from the baseline serializer, and
 survive cache migration as plain cross-heap references.
+
+Both heaps are a `HeapSpace`: a buffer of gap-free, bump-allocated objects
+read and written through one word view, with a `CardTable` over it and a
+per-card first-object table that locates the objects overlapping a card.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import enum
 import sys
 from dataclasses import dataclass, field
 
-from .errors import InvalidHandleError, LayoutError
+from .errors import HeapCorruptionError, InvalidHandleError, LayoutError
 
 if sys.byteorder != "little":
     raise ImportError(
@@ -74,6 +78,9 @@ class ClassRegistry:
     def __init__(self) -> None:
         self._by_id: dict[int, ClassDescriptor] = {}
         self._next_id = 1
+        # The descriptor for a class id, or None.  The dict's own method, so
+        # the object walks of both heaps pay no Python call per object.
+        self.maybe_get = self._by_id.get
 
     def register(self, layout: list[FieldSpec] | tuple[FieldSpec, ...]) -> ClassDescriptor:
         fields = tuple(layout)
@@ -111,9 +118,6 @@ class ClassRegistry:
 
     def get(self, class_id: int) -> ClassDescriptor:
         return self._by_id[class_id]
-
-    def maybe_get(self, class_id: int) -> ClassDescriptor | None:
-        return self._by_id.get(class_id)
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -199,3 +203,107 @@ def cache_word_marked(word: int) -> bool:
 
 def cache_word_partition(word: int) -> int:
     return word >> 1
+
+
+# ---------------------------------------------------------------------------
+# What both heaps share: a card table and a space of gap-free objects.
+
+CARD_CLEAN = 0
+CARD_DIRTY = 1
+
+
+class CardTable:
+    """One dirtiness byte per `segment` bytes, starting at `base`."""
+
+    def __init__(self, base: int, size: int, segment: int) -> None:
+        self.base = base
+        self.segment = segment
+        self.n_cards = size // segment
+        self.cards = bytearray(self.n_cards)
+
+    def index_of(self, addr: int) -> int:
+        return (addr - self.base) // self.segment
+
+    def is_dirty(self, idx: int) -> bool:
+        return self.cards[idx] == CARD_DIRTY
+
+    def segment_bounds(self, idx: int) -> tuple[int, int]:
+        start = self.base + idx * self.segment
+        return start, start + self.segment
+
+    def count_dirty(self) -> int:
+        return self.cards.count(CARD_DIRTY)
+
+
+class HeapSpace:
+    """A buffer of gap-free objects starting at address `base`.
+
+    Words are read and written through one `memoryview` of the buffer cast
+    to unsigned 64-bit words, indexed by the word offset from `base`.
+    `first_obj` has one entry per card of `cards`: the address of the
+    object covering the card's first byte, or 0 when no object does.  As
+    objects lie without gaps, a walk from a card's entry parses every
+    object overlapping the card, including one spilling in from before it.
+    """
+
+    def __init__(self, base: int, buf, registry: ClassRegistry, cards: CardTable) -> None:
+        self.base = base
+        self.buf = buf
+        self.words = memoryview(buf).cast("Q")
+        self.registry = registry
+        self.cards = cards
+        self.first_obj = [0] * cards.n_cards
+
+    def close(self) -> None:
+        # The view must be released first: an mmap with exported buffers
+        # refuses to close.
+        self.words.release()
+        self.buf.close()
+
+    def load_word(self, addr: int) -> int:
+        return self.words[(addr - self.base) >> 3]
+
+    def store_word(self, addr: int, value: int) -> None:
+        self.words[(addr - self.base) >> 3] = value
+
+    def read_bytes(self, addr: int, size: int) -> bytes:
+        off = addr - self.base
+        return self.buf[off : off + size]
+
+    def write_bytes(self, addr: int, data: bytes) -> None:
+        off = addr - self.base
+        self.buf[off : off + len(data)] = data
+
+    def object_size(self, addr: int) -> int:
+        desc = self.registry.maybe_get(word_class_id(self.load_word(addr)))
+        if desc is None:
+            raise HeapCorruptionError(f"unparseable object header at {addr:#x}")
+        return desc.instance_size
+
+    def iter_span(self, start: int, end: int):
+        """Yield object addresses for a gap-free bump-allocated span."""
+        addr = start
+        while addr < end:
+            yield addr
+            addr += self.object_size(addr)
+
+    def enter_objects(self, addrs: list[int], end: int) -> None:
+        """Enter a gap-free run of objects in the first-object table.
+
+        Each object of `addrs` ends where the next one starts, and the last
+        ends at `end`.  Every card whose first byte an object covers gets
+        that object's address.  A cursor on the next card start makes an
+        object that covers none cost one comparison.
+        """
+        if not addrs:
+            return
+        cards = self.cards
+        segment = cards.segment
+        first_obj = self.first_obj
+        idx = -((cards.base - addrs[0]) // segment)  # first card at or after the run
+        card_start = cards.base + idx * segment
+        for addr, next_addr in zip(addrs, addrs[1:] + [end]):
+            while card_start < next_addr:
+                first_obj[idx] = addr
+                idx += 1
+                card_start += segment

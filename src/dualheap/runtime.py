@@ -219,14 +219,7 @@ class Runtime:
         if space is SpaceKind.H2:
             self.h2.dirty_card(obj)
             self.counters["barrier_h2_hits"] += 1
-            # A cross-region store inside H2 ties the two regions' fates
-            # together; without the group merge the target's group could be
-            # reclaimed while this region still points into it.
-            if value and self.layout.is_h2(value):
-                src = self.h2.region_of(obj)
-                dst = self.h2.region_of(value)
-                if src != dst:
-                    self.h2.merge_groups(src, dst)
+            self.h2.note_reference(obj, value)
         elif space is SpaceKind.H1_OLD and value and self.layout.is_young(value):
             self.h1.cards.dirty(obj)
             self.counters["barrier_h1_hits"] += 1
@@ -329,8 +322,8 @@ class Runtime:
         yield from self.h1.iter_old_objects()
 
     def iter_h2_objects(self):
-        for region in self.h2.allocated_regions():
-            yield from self.h2.iter_region_objects(region)
+        for r in self.h2.allocated_regions():
+            yield from self.h2.iter_span(self.h2.region_start(r), self.h2.region_alloc_end(r))
 
     def scalar_values(self, addr: int) -> tuple[int, ...]:
         desc = self.descriptor_of(addr)

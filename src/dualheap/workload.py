@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from random import Random
 
@@ -358,8 +359,10 @@ class TraceDriver:
         self.families: dict[int, int] = {}
         self._variant_cache: dict[tuple, list] = {}
         self.partitions: dict[int, _Partition] = {}
-        # SD state: resident cached partitions in LRU order, evicted blobs.
-        self._sd_lru: list[int] = []
+        # SD state: resident cached partitions (pid -> footprint) in LRU
+        # order, their total footprint, and the evicted blobs.
+        self._sd_lru: OrderedDict[int, int] = OrderedDict()
+        self._sd_bytes = 0
         self._sd_blobs: dict[int, bytes] = {}
         self.checksums: list[tuple[int, int]] = []
 
@@ -481,8 +484,7 @@ class TraceDriver:
             self.rt.persist(self._root_of(part), part.pid)
         elif self.mode == "SD":
             if part.pid not in self._sd_lru and part.pid not in self._sd_blobs:
-                self._sd_lru.append(part.pid)
-                self._sd_enforce_capacity(protect=part.pid)
+                self._sd_admit(part)
             else:
                 self._sd_touch(part.pid)
         part.status = "persisted"
@@ -491,19 +493,20 @@ class TraceDriver:
 
     def _sd_touch(self, pid: int) -> None:
         if pid in self._sd_lru:
-            self._sd_lru.remove(pid)
-            self._sd_lru.append(pid)
+            self._sd_lru.move_to_end(pid)
+
+    def _sd_admit(self, part: _Partition) -> None:
+        self._sd_lru[part.pid] = part.footprint
+        self._sd_bytes += part.footprint
+        self._sd_enforce_capacity(protect=part.pid)
 
     def _sd_capacity(self) -> int:
         h1 = self.config.h1
         return int((h1.young_size + h1.old_size) * self.config.sd.cache_fraction)
 
-    def _sd_cached_bytes(self) -> int:
-        return sum(self.partitions[p].footprint for p in self._sd_lru)
-
     def _sd_enforce_capacity(self, protect: int | None = None) -> None:
         cap = self._sd_capacity()
-        while self._sd_cached_bytes() > cap:
+        while self._sd_bytes > cap:
             victim = next((p for p in self._sd_lru if p != protect), None)
             if victim is None:
                 break
@@ -517,7 +520,7 @@ class TraceDriver:
         self.rt.counters["evictions"] += 1
         self.rt.drop_root(part.slot_id)
         part.slot_id = None
-        self._sd_lru.remove(pid)
+        self._sd_bytes -= self._sd_lru.pop(pid)
 
     def _sd_ensure_resident(self, part: _Partition) -> None:
         if part.pid not in self._sd_blobs:
@@ -528,8 +531,7 @@ class TraceDriver:
         self.rt.counters["bytes_deserialized"] += len(blob)
         part.slot_id = self.rt.add_root(root)
         part.footprint = total
-        self._sd_lru.append(part.pid)
-        self._sd_enforce_capacity(protect=part.pid)
+        self._sd_admit(part)
 
     # -- access / mutate ----------------------------------------------------
 
@@ -597,7 +599,7 @@ class TraceDriver:
             if pid in self._sd_blobs:
                 del self._sd_blobs[pid]
             if pid in self._sd_lru:
-                self._sd_lru.remove(pid)
+                self._sd_bytes -= self._sd_lru.pop(pid)
             if part.slot_id is not None:
                 self.rt.drop_root(part.slot_id)
         else:

@@ -31,7 +31,6 @@ def make_config(
     backing="anonymous",
     strategy="direct_copy",
     batch_buffer=2 * MIB,
-    queue_depth=64,
     **kw,
 ) -> RuntimeConfig:
     return RuntimeConfig(
@@ -49,9 +48,7 @@ def make_config(
             scan_threads=threads,
             backing=backing,
         ),
-        migration=MigrationConfig(
-            strategy=strategy, batch_buffer=batch_buffer, queue_depth=queue_depth
-        ),
+        migration=MigrationConfig(strategy=strategy, batch_buffer=batch_buffer),
         **kw,
     ).validate()
 

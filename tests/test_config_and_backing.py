@@ -70,7 +70,7 @@ def test_validation_names_offending_fields(kw, fragment):
         {"h2": {"scan_threads": "2"}},
         {"h1": {"tenuring_threshold": "2"}},
         {"h1": {"tenuring_threshold": True}},
-        {"migration": {"queue_depth": "64"}},
+        {"migration": {"strategy": 5}},
         {"sd": {"cache_fraction": "0.5"}},
         {"seed": "x"},
         {"trace": 5},

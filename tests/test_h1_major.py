@@ -2,7 +2,8 @@
 
 import pytest
 
-from dualheap import HeapExhaustedError, Runtime, SpaceKind
+from dualheap import HeapExhaustedError, RegionExhaustedError, Runtime, SpaceKind
+from dualheap.workload import TraceDriver, generate_trace, parse_trace
 
 from conftest import KIB, build_chain, make_config, register_node_class
 from heap_oracle import (
@@ -124,6 +125,41 @@ def test_exhausted_major_leaves_h2_untouched():
             node = rt.read_ref(node, 0)
         assert tags == list(range(1000, 1300))
         assert len(list(rt.iter_h2_objects())) == 300
+
+
+def test_h2_overflow_in_major_leaves_h2_as_it_was():
+    """A major whose marked objects do not fit the free H2 regions fails
+    before it allocates any: regions, offsets and the first-object table
+    are as they were before the collection, and H2 still walks."""
+    events = parse_trace(generate_trace("cc_like", 6, seed=3))
+    with TraceDriver(make_config(), mode="TC") as driver:
+        h2 = driver.rt.h2
+        before = []
+        major = driver.rt.collector.major
+
+        def snapshot_then_major(*args, **kwargs):
+            before[:] = [
+                list(h2.alloc_offsets),
+                list(h2.partition_ids),
+                list(h2.first_obj),
+                list(h2._free),
+                dict(h2._open_region),
+            ]
+            return major(*args, **kwargs)
+
+        driver.rt.collector.major = snapshot_then_major
+        with pytest.raises(RegionExhaustedError):
+            driver.run(events)
+        assert before
+        assert [
+            h2.alloc_offsets,
+            h2.partition_ids,
+            h2.first_obj,
+            h2._free,
+            h2._open_region,
+        ] == before
+        walked = list(driver.rt.iter_h2_objects())
+        assert sum(h2.object_size(a) for a in walked) == sum(h2.alloc_offsets)
 
 
 def test_major_runs_embedded_minor_first(rt):

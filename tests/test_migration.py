@@ -270,7 +270,7 @@ def test_writers_produce_identical_bytes():
         dest += size
     direct_sink, batched_sink = _Sink(), _Sink()
     direct = DirectCopyWriter(direct_sink)
-    batched = BatchedAsyncWriter(batched_sink, buffer_size=8 * KIB, queue_depth=4)
+    batched = BatchedAsyncWriter(batched_sink, buffer_size=8 * KIB)
     for d, data in stream:
         direct.write(d, data)
         batched.write(d, data)
@@ -279,17 +279,6 @@ def test_writers_produce_identical_bytes():
     assert direct_sink.image == batched_sink.image
     total = sum(len(d) for _, d in stream)
     assert batched.flush_ops == -(-total // (8 * KIB))  # ceil division
-    assert batched.max_in_flight <= 5
-
-
-def test_batched_queue_depth_bounds_in_flight():
-    sink = _Sink()
-    w = BatchedAsyncWriter(sink, buffer_size=64, queue_depth=2)
-    for i in range(40):
-        w.write(i * 64, bytes(64))
-    assert w.max_in_flight <= 3
-    w.finish()
-    assert len(sink.image) == 40 * 64
 
 
 def test_strategy_equivalence_end_to_end():
