@@ -33,9 +33,13 @@ stripe for the next dirty index (`bytearray.find`), so its cost follows the
 number of dirty cards and the bytes they cover, not the size of the table.
 Objects overlapping a dirty segment are located via the first-object
 table (see `HeapSpace`); allocation inside a region is gap-free, so a walk
-from a covered segment's entry parses every object overlapping it.  Every
-payload word the walk reads goes through `load_word`, the heap's one read
-path, so a wrapper installed on the instance sees all of them.
+from a covered segment's entry parses every object overlapping it.  The
+walk reads a card's words with one `load_words` call, from the card's
+entry to the end of its allocated part, plus one more for the tail of a
+last object that spills past it; it then steps through that list, not
+through a `load_word` call per word.  `load_words` is the scan's one
+payload read path, so a wrapper installed on the instance sees every word
+it reads.
 
 Payload words go through the mapping's word view, so the backing file is
 a raw little-endian image of the heap.
@@ -56,7 +60,6 @@ from .objmodel import (
     ClassRegistry,
     HeapLayout,
     HeapSpace,
-    word_class_id,
 )
 
 UNASSIGNED = -1
@@ -238,8 +241,13 @@ class H2Heap(HeapSpace):
         ascending order.  A visited card is cleaned only when the walk over
         every object overlapping its segment found no H1-targeting slot and
         the card is not a boundary card.
+
+        Each visited card costs one `load_words` read of the words from its
+        first-object entry to the end of its allocated part, and a second
+        one, of exactly the missing tail, when the last object runs past
+        that end.  Headers and reference slots are then indexed in the list.
         """
-        load = self.load_word  # bound once: every payload read goes through it
+        load_words = self.load_words  # bound once: every payload read goes through it
         lookup = self.registry.maybe_get
         # HeapLayout.is_h1, inlined: this test runs once per reference slot.
         layout = self.layout
@@ -266,17 +274,27 @@ class H2Heap(HeapSpace):
                 if walk_end > seg_start:
                     bytes_walked += walk_end - seg_start
                 found = 0
-                addr = first_obj[idx]
-                while addr and addr < walk_end:
-                    desc = lookup(word_class_id(load(addr)))
-                    if desc is None:
-                        raise HeapCorruptionError(f"unparseable object header at {addr:#x}")
-                    for offset in desc.ref_offsets:
-                        value = load(addr + offset)
-                        if young_lo <= value < young_hi or old_lo <= value < old_hi:
-                            refs.append((addr + offset, value))
-                            found += 1
-                    addr += desc.instance_size
+                start = first_obj[idx]
+                if start and start < walk_end:
+                    # w[i] is the word at start + 8 * i; the walk ends at n.
+                    w = load_words(start, walk_end)
+                    n = len(w)
+                    i = 0
+                    while i < n:
+                        desc = lookup(w[i] >> 32)
+                        if desc is None:
+                            raise HeapCorruptionError(
+                                f"unparseable object header at {start + (i << 3):#x}"
+                            )
+                        end = i + (desc.instance_size >> 3)
+                        if end > n:  # the last object spills past walk_end
+                            w += load_words(walk_end, start + (end << 3))
+                        for offset in desc.ref_offsets:
+                            value = w[i + (offset >> 3)]
+                            if young_lo <= value < young_hi or old_lo <= value < old_hi:
+                                refs.append((start + (i << 3) + offset, value))
+                                found += 1
+                        i = end
                 if found == 0 and idx != lo and idx != hi - 1:  # not a boundary card
                     cards[idx] = CARD_CLEAN
                 idx = cards.find(CARD_DIRTY, idx + 1, hi)

@@ -263,6 +263,11 @@ class HeapSpace:
     def load_word(self, addr: int) -> int:
         return self.words[(addr - self.base) >> 3]
 
+    def load_words(self, start: int, stop: int) -> list[int]:
+        """The words from address `start` up to `stop`, in one native read."""
+        base = self.base
+        return self.words[(start - base) >> 3 : (stop - base) >> 3].tolist()
+
     def store_word(self, addr: int, value: int) -> None:
         self.words[(addr - self.base) >> 3] = value
 

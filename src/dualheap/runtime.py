@@ -30,6 +30,7 @@ from collections import defaultdict
 from .collector import Collector, PromotionOverflowError
 from .config import RuntimeConfig
 from .errors import (
+    HeapCorruptionError,
     HeapExhaustedError,
     InvalidFieldError,
     InvalidHandleError,
@@ -139,7 +140,10 @@ class Runtime:
     # headers
 
     def descriptor_of(self, addr: int) -> ClassDescriptor:
-        return self.registry.get(word_class_id(self.load_word(addr)))
+        desc = self.registry.maybe_get(word_class_id(self.load_word(addr)))
+        if desc is None:
+            raise HeapCorruptionError(f"unparseable object header at {addr:#x}")
+        return desc
 
     def cache_word_of(self, addr: int) -> int:
         return self.load_word(addr + 8)
@@ -199,7 +203,10 @@ class Runtime:
         if not obj:
             raise InvalidHandleError("null handle")
         self._check_aligned(obj)
-        desc = self.descriptor_of(obj)
+        try:
+            desc = self.descriptor_of(obj)
+        except HeapCorruptionError:
+            raise InvalidHandleError(f"handle {obj:#x} has no parseable object header") from None
         if index < 0 or index >= len(desc.fields):
             raise InvalidFieldError(f"field index {index} out of range")
         fs = desc.fields[index]

@@ -5,6 +5,11 @@ the collection began (the dirty-card scan, including spill-over fields).
 Sanctioned writes: migration appends and the adjust-phase slot rewrites,
 whose slots always belong to objects overlapping dirty segments.  Card
 table and region metadata are not payload and are unrestricted.
+
+The log sees H2 payload through the methods `AccessLog` wraps.  The
+dirty-card scan reads through `H2Heap.load_words`, one range per card; the
+wrapper logs it as one 8-byte read per word of the range, so the check is
+as strict per word as for `load_word`.
 """
 
 from random import Random
@@ -27,6 +32,7 @@ class AccessLog:
 
         orig_rt_load, orig_rt_store = rt.load_word, rt.store_word
         orig_h2_load, orig_h2_store = h2.load_word, h2.store_word
+        orig_h2_load_words = h2.load_words
         orig_write_bytes, orig_read_bytes = h2.write_bytes, h2.read_bytes
         orig_alloc = h2.allocate_in_region
 
@@ -36,6 +42,12 @@ class AccessLog:
         rt.load_word = lambda a: (self.reads.append((a, 8)) if in_h2(a) else None) or orig_rt_load(a)
         rt.store_word = lambda a, v: (self.writes.append((a, 8)) if in_h2(a) else None) or orig_rt_store(a, v)
         h2.load_word = lambda a: self.reads.append((a, 8)) or orig_h2_load(a)
+
+        def load_words(start, stop):
+            self.reads.extend((a, 8) for a in range(start, stop, 8))  # one read per word
+            return orig_h2_load_words(start, stop)
+
+        h2.load_words = load_words
         h2.store_word = lambda a, v: self.writes.append((a, 8)) or orig_h2_store(a, v)
         h2.write_bytes = lambda a, d: self.writes.append((a, len(d))) or orig_write_bytes(a, d)
         h2.read_bytes = lambda a, n: self.reads.append((a, n)) or orig_read_bytes(a, n)
@@ -48,13 +60,13 @@ class AccessLog:
         h2.allocate_in_region = alloc
         self._restore = (
             orig_rt_load, orig_rt_store, orig_h2_load, orig_h2_store,
-            orig_write_bytes, orig_read_bytes, orig_alloc,
+            orig_write_bytes, orig_read_bytes, orig_alloc, orig_h2_load_words,
         )
 
     def uninstall(self):
         rt, h2 = self.rt, self.rt.h2
         (rt.load_word, rt.store_word, h2.load_word, h2.store_word,
-         h2.write_bytes, h2.read_bytes, h2.allocate_in_region) = self._restore
+         h2.write_bytes, h2.read_bytes, h2.allocate_in_region, h2.load_words) = self._restore
 
 
 def sanctioned_extents(rt):
@@ -144,3 +156,23 @@ def test_collection_without_dirty_cards_reads_nothing():
             assert covered(allowed, addr, size)
         assert log.writes == []
         del boundary_dirty
+
+
+def test_minor_over_card_aligned_objects_touches_only_dirty_segments():
+    # 64-byte objects end exactly at every card end, so a scan reading one
+    # word past a dirty card would read the first object of the next,
+    # clean card.
+    with Runtime(make_config()) as rt:
+        desc = register_node_class(rt, refs=2, scalars=4)
+        assert rt.h2.cards.segment % desc.instance_size == 0
+        slot = build_chain(rt, desc, 400)  # three and a bit 8 KiB cards
+        rt.persist(rt.read_root(slot), 1)
+        rt.major_collect()
+        rt.minor_collect()  # cleans every non-boundary card
+        h2 = rt.h2
+        seg = h2.cards.segment
+        obj = next(a for a in sorted(rt.iter_h2_objects()) if a >= h2.base + seg)
+        rt.write_scalar(obj, 2, 5)
+        assert [i for i in range(4) if h2.cards.is_dirty(i)] == [0, 1]
+        run_disciplined(rt, rt.minor_collect)
+        del slot

@@ -357,6 +357,119 @@ def test_find_scan_matches_per_card_loop(scan_heap, data):
         h2.first_obj = original
 
 
+def _mixed_size_heap(rt, plan, draw_target):
+    """Lay out H2 objects of three kinds in the `(kind, partition)` order of
+    `plan`: 40-byte nodes, 9,616-byte objects spanning three or more 4 KiB cards
+    (reference fields at the front, middle and last slot), and scalar pads
+    that end exactly at a card end.  Partition 3 always holds a big object,
+    a pad and a node, so its region ends part-way through its last card.
+    Scalar slots hold an H1 address, which the scan must not report."""
+    from dualheap import FieldKind, FieldSpec
+    from dualheap.objmodel import class_age_word
+
+    h2 = rt.h2
+    seg = h2.cards.segment
+    small = register_node_class(rt, refs=2, scalars=1)
+    big_refs = {0, 600, 1199}
+    big = rt.register_class(
+        [
+            FieldSpec(16 + 8 * i, FieldKind.REF if i in big_refs else FieldKind.SCALAR)
+            for i in range(1200)
+        ]
+    )
+    pads: dict[int, object] = {}
+    scalar_fill = rt.layout.young_base.to_bytes(8, "little")
+
+    def place(kind, pid):
+        if kind == "pad":
+            open_idx = h2._open_region.get(pid)
+            fill = 0 if open_idx is None else h2.alloc_offsets[open_idx]
+            size = -fill % seg
+            if size < 16:
+                size += seg
+            if fill + size > h2.region_size:
+                size = seg  # a fresh region: the pad fills its first card
+            if size not in pads:
+                pads[size] = register_node_class(rt, refs=0, scalars=(size - 16) // 8)
+            desc = pads[size]
+        else:
+            desc = small if kind == "small" else big
+        addr = h2.allocate_in_region(pid, desc.instance_size)
+        h2.write_bytes(addr + 16, scalar_fill * len(desc.fields))
+        h2.store_word(addr, class_age_word(desc.class_id, 0))
+        h2.store_word(addr + 8, 0)
+        for offset in desc.ref_offsets:
+            h2.store_word(addr + offset, draw_target())
+        if kind == "pad":
+            assert (addr + desc.instance_size - h2.base) % seg == 0
+
+    for kind in ("big", "pad", "small"):
+        place(kind, 3)
+    for kind, pid in plan:
+        place(kind, pid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    plan=st.lists(
+        st.tuples(st.sampled_from(["small", "big", "pad"]), st.integers(0, 2)), max_size=40
+    ),
+    data=st.data(),
+)
+def test_bulk_scan_matches_per_card_loop_on_mixed_sizes(plan, data):
+    cfg = make_config(h2_size=1024 * KIB, region=32 * KIB, h2_card=4 * KIB, stripe=16 * KIB)
+    with Runtime(cfg) as rt:
+        h2, layout = rt.h2, rt.layout
+        targets = st.sampled_from(
+            [0, layout.young_base, layout.old_end - 8, layout.old_base + 64, h2.base + 8]
+        )
+        _mixed_size_heap(rt, plan, lambda: data.draw(targets))
+        n = h2.cards.n_cards
+        start = bytearray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        expected = bytearray(start)
+        h2.cards.cards[:] = start
+        h2.first_obj = _RecordingList(h2.first_obj)
+        for tid in range(rt.config.h2.scan_threads):
+            want_refs, want_visited = reference_scan(h2, tid, expected)
+            h2.first_obj.reads.clear()
+            refs, scanned = h2.scan_dirty_cards(tid)
+            assert h2.first_obj.reads == want_visited
+            assert scanned == len(want_visited)
+            assert refs == want_refs
+            assert h2.cards.cards == expected
+
+
+def test_minor_scan_reads_h2_in_bulk_once_or_twice_per_card():
+    """The scan's reads go through `load_words`, at most twice per card
+    (the card's walk and one spilling last object), never `load_word`."""
+    with Runtime(make_config(h2_card=4 * KIB, stripe=16 * KIB)) as rt:
+        desc = register_node_class(rt, refs=2, scalars=1)
+        for pid in range(2):
+            slot = build_chain(rt, desc, 600, tag_base=1000 * pid)
+            rt.persist(rt.read_root(slot), pid)
+        rt.major_collect()
+        rng = Random(11)
+        for obj in rng.sample(sorted(rt.iter_h2_objects()), 30):
+            young = rt.allocate(desc)
+            rt.add_root(young)
+            rt.write_ref(obj, 0, young)
+        h2 = rt.h2
+        calls = {"load_word": 0, "load_words": 0}
+        for name in calls:
+            def counted(*args, _name=name, _orig=getattr(h2, name)):
+                calls[_name] += 1
+                return _orig(*args)
+
+            setattr(h2, name, counted)
+        try:
+            stats = rt.minor_collect()
+        finally:
+            del h2.load_word, h2.load_words
+        assert stats.h2_cards_scanned > 0
+        assert calls["load_word"] == 0
+        assert stats.h2_cards_scanned <= calls["load_words"] <= 2 * stats.h2_cards_scanned
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     sizes=st.lists(st.sampled_from([40, 4 * KIB + 8, 20 * KIB]), min_size=1, max_size=40),

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from dualheap import (
+    HeapCorruptionError,
     InvalidFieldError,
     InvalidHandleError,
     InvalidSlotError,
@@ -128,6 +129,20 @@ def test_misaligned_handle_rejected(rt):
         rt.write_ref(h, 0, h + 4)
     with pytest.raises(InvalidHandleError, match="aligned"):
         rt.add_root(h + 2)
+    del slot
+
+
+def test_handle_without_header_rejected(rt):
+    desc = register_node_class(rt, refs=1, scalars=1)
+    h = rt.allocate(desc)
+    slot = rt.add_root(h)
+    bogus = h + 64  # zeroed eden: class id 0 is never registered
+    with pytest.raises(HeapCorruptionError, match=f"{bogus:#x}"):
+        rt.descriptor_of(bogus)
+    with pytest.raises(InvalidHandleError, match=f"{bogus:#x}"):
+        rt.read_scalar(bogus, 1)
+    with pytest.raises(InvalidHandleError, match=f"{bogus:#x}"):
+        rt.write_ref(bogus, 0, h)
     del slot
 
 
