@@ -35,7 +35,11 @@ def parse_size(value) -> int:
     m = _SIZE_RE.match(str(value))
     if not m:
         raise ConfigError(f"cannot parse size {value!r}")
-    return int(m.group(1)) * _SUFFIX[m.group(2).upper()]
+    try:
+        number = int(m.group(1))
+    except ValueError:  # more digits than int() converts
+        raise ConfigError(f"size has too many digits ({len(m.group(1))})") from None
+    return number * _SUFFIX[m.group(2).upper()]
 
 
 @dataclass(frozen=True)
@@ -246,6 +250,6 @@ def load_config(path: str | Path) -> RuntimeConfig:
     text = Path(path).read_text()
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int too long for int()
         raise ConfigError(f"{path} is not valid YAML: {exc}") from None
     return config_from_dict(raw)

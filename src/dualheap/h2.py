@@ -26,7 +26,18 @@ scan thread `t` owns stripe `t` of every slice.  The first and last card
 of each stripe are boundary cards: two neighboring threads may both walk
 objects spanning the stripe edge, so boundary cards are never cleaned
 during scans (only a region reset cleans them).  Consequently a dirty
-boundary card is rescanned on every collection.
+boundary card is visited on every collection.
+
+A visited card is walked only when it is touched.  `touched` holds one
+byte per card, set when the card's words may hold an H1 reference that no
+walk has seen: on every card an object overlaps when the object is
+allocated (`allocate_in_region`) or stored to through the barrier
+(`dirty_card(addr, size)`), and on the one card of `dirty_card(addr)`.  A
+walk that finds no reference clears it; a walk that finds references
+leaves it set, so the minor fixup and the adjust phase, which rewrite only
+slots a walk just reported, need no hook.  A dirty card that nothing has
+written since such a walk is visited, counted and cleaned as before, but
+its words are not read again.
 
 A scan pass visits only dirty cards: it asks the card bytes of each owned
 stripe for the next dirty index (`bytearray.find`), so its cost follows the
@@ -93,12 +104,6 @@ class H2CardTable(CardTable):
         self.cards_per_stripe = stripe // segment
         self.n_stripes = size // stripe
 
-    def dirty_index(self, idx: int) -> bool:
-        """Mark a card dirty; returns True on a clean->dirty transition."""
-        was_clean = self.cards[idx] == CARD_CLEAN
-        self.cards[idx] = CARD_DIRTY
-        return was_clean
-
     def is_boundary(self, idx: int) -> bool:
         pos = idx % self.cards_per_stripe
         return pos == 0 or pos == self.cards_per_stripe - 1
@@ -148,6 +153,7 @@ class H2Heap(HeapSpace):
         self.region_size = cfg.region_size
         self.n_regions = cfg.size // cfg.region_size
         self.cards_per_region = cfg.region_size // cfg.card_segment
+        self.touched = bytearray(cards.n_cards)
 
         # Per-region metadata.
         self.alloc_offsets = [0] * self.n_regions
@@ -225,13 +231,35 @@ class H2Heap(HeapSpace):
         self.alloc_offsets[idx] += size
         self.used_bits[idx] = True
         self.enter_objects([addr], addr + size)
+        # Touch every card the object overlaps: no walk has seen its words.
+        first = (addr - self.base) // self.cards.segment
+        last = (addr + size - 1 - self.base) // self.cards.segment
+        self.touched[first : last + 1] = b"\x01" * (last + 1 - first)
         return addr
 
     # -- cards --------------------------------------------------------------
 
-    def dirty_card(self, addr: int) -> None:
-        if self.cards.dirty_index(self.cards.index_of(addr)):
+    def dirty_card(self, addr: int, size: int = 8) -> None:
+        """Dirty the card of `addr` and touch every card that the `size`
+        bytes at `addr` overlap.
+
+        The barrier passes the object's instance size, since each card's
+        walk covers a whole spilling object.  The default, one word, keeps
+        the call card-level: only the card of `addr` is touched.
+        """
+        # The card arithmetic is inline: this is the barrier's path.
+        table = self.cards
+        offset = addr - self.base
+        idx = offset // table.segment
+        cards = table.cards
+        if cards[idx] == CARD_CLEAN:
+            cards[idx] = CARD_DIRTY
             self.counters["h2_cards_dirtied"] += 1
+        last = (offset + size - 1) // table.segment
+        if last == idx:  # most objects fit one card
+            self.touched[idx] = 1
+        else:
+            self.touched[idx : last + 1] = b"\x01" * (last + 1 - idx)
 
     def scan_dirty_cards(self, thread_id: int) -> tuple[list[tuple[int, int]], int]:
         """Walk this thread's dirty cards and collect backward references.
@@ -242,7 +270,13 @@ class H2Heap(HeapSpace):
         every object overlapping its segment found no H1-targeting slot and
         the card is not a boundary card.
 
-        Each visited card costs one `load_words` read of the words from its
+        A visited card is walked only when it is touched; an untouched card
+        would yield no reference, so it is counted and cleaned as if walked.
+        A walk that finds no reference clears the card's `touched` byte.
+        Dirty boundary cards are thus visited on every collection but walked
+        only after something has written them.
+
+        Each walked card costs one `load_words` read of the words from its
         first-object entry to the end of its allocated part, and a second
         one, of exactly the missing tail, when the last object runs past
         that end.  Headers and reference slots are then indexed in the list.
@@ -260,6 +294,7 @@ class H2Heap(HeapSpace):
         per_region = self.cards_per_region
         base = self.base
         first_obj = self.first_obj
+        touched = self.touched
         refs: list[tuple[int, int]] = []
         cards_scanned = 0
         bytes_walked = 0
@@ -275,7 +310,7 @@ class H2Heap(HeapSpace):
                     bytes_walked += walk_end - seg_start
                 found = 0
                 start = first_obj[idx]
-                if start and start < walk_end:
+                if start and start < walk_end and touched[idx]:
                     # w[i] is the word at start + 8 * i; the walk ends at n.
                     w = load_words(start, walk_end)
                     n = len(w)
@@ -295,8 +330,10 @@ class H2Heap(HeapSpace):
                                 refs.append((start + (i << 3) + offset, value))
                                 found += 1
                         i = end
-                if found == 0 and idx != lo and idx != hi - 1:  # not a boundary card
-                    cards[idx] = CARD_CLEAN
+                if found == 0:
+                    touched[idx] = 0
+                    if idx != lo and idx != hi - 1:  # not a boundary card
+                        cards[idx] = CARD_CLEAN
                 idx = cards.find(CARD_DIRTY, idx + 1, hi)
         counters = self.counters
         if bytes_walked:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .objmodel import SpaceKind, cache_word, cache_word_partition
+from .objmodel import SpaceKind, cache_word, cache_word_partition, word_class_id
 
 if TYPE_CHECKING:
     from .runtime import Runtime
@@ -217,26 +217,28 @@ def transfer_marked(
 
     Fields were already rewritten through the relocation map, so the
     copied image is final.  Each landed object's card is dirtied without
-    inspecting fields; reference fields are then walked once so that
-    cross-region H2 references merge the regions' groups.  H1
-    targets remaining in (transient) fields become backward references and
-    are picked up by the next dirty-card scan.
+    inspecting fields; its words are then read back once, with one
+    `load_words`, so that cross-region H2 references merge the regions'
+    groups.  H1 targets remaining in (transient) fields become backward
+    references and are picked up by the next dirty-card scan.
     """
     h2 = rt.h2
-    moved = 0
+    lookup = rt.registry.maybe_get
+    landed: list[tuple[int, int]] = []
     total = 0
     for addr in marked:
         dest = forwarded[addr]
         size = rt.h1.object_size(addr)
         writer.write(dest, rt.h1.read_bytes(addr, size))
-        moved += 1
+        landed.append((dest, size))
         total += size
     writer.finish()
-    for addr in marked:
-        dest = forwarded[addr]
+    for dest, size in landed:
         h2.dirty_card(dest)
-        for offset in rt.descriptor_of(dest).ref_offsets:
-            h2.note_reference(dest, h2.load_word(dest + offset))
+        w = h2.load_words(dest, dest + size)
+        for offset in lookup(word_class_id(w[0])).ref_offsets:
+            h2.note_reference(dest, w[offset >> 3])
+    moved = len(landed)
     rt.counters["objects_moved_to_h2"] += moved
     rt.counters["bytes_moved_to_h2"] += total
     rt.counters["h2_flush_ops"] += writer.flush_ops

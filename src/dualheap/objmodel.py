@@ -10,7 +10,7 @@ on a big-endian host fails):
            bits 1..8    age, the number of minor collections survived
            bits 32..63  class id
   word 1   bit 0        cache-candidate mark
-           bits 1..62   partition id (valid only while the mark is set)
+           bits 1..63   partition id (valid only while the mark is set)
 
 Fields follow the header as 8-byte slots.  A field is either a reference
 (holds an object address or 0 for null) or a scalar (an uninterpreted
@@ -189,6 +189,10 @@ def bump_age(word: int) -> int:
     if age < _AGE_MAX:
         age += 1
     return class_age_word(word_class_id(word), age)
+
+
+# Partition ids fill the 63 bits of the cache word above the mark.
+PARTITION_ID_LIMIT = 1 << 63
 
 
 def cache_word(marked: bool, partition_id: int = 0) -> int:

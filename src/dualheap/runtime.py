@@ -17,6 +17,9 @@ objects dirty the old-to-young card when the stored value is young, and
 writes into H2 objects dirty the H2 card unconditionally.  Scalar stores
 to H2 dirty the card as well (the barrier does not inspect the slot kind);
 the subsequent scan finds no backward reference there and cleans the card.
+An H2 store also sets the `touched` bytes of every card the object
+overlaps (see `H2Heap.dirty_card`), from the instance size that the field
+check already resolved.
 
 Collections are stop-the-world: no mutator call may overlap a collection.
 The runtime is single-mutator; the barrier itself is idempotent byte
@@ -199,7 +202,9 @@ class Runtime:
         if handle & 7:
             raise InvalidHandleError(f"handle {handle:#x} is not 8-byte aligned")
 
-    def _field(self, obj: int, index: int, kind: FieldKind) -> FieldSpec:
+    def _field(
+        self, obj: int, index: int, kind: FieldKind
+    ) -> tuple[ClassDescriptor, FieldSpec]:
         if not obj:
             raise InvalidHandleError("null handle")
         self._check_aligned(obj)
@@ -212,10 +217,10 @@ class Runtime:
         fs = desc.fields[index]
         if fs.kind is not kind:
             raise InvalidFieldError(f"field {index} is {fs.kind.value}, expected {kind.value}")
-        return fs
+        return desc, fs
 
     def write_ref(self, obj: int, index: int, target: int | None) -> None:
-        fs = self._field(obj, index, FieldKind.REF)
+        desc, fs = self._field(obj, index, FieldKind.REF)
         value = target or 0
         if value:
             self.layout.classify(value)  # reject bogus targets early
@@ -224,7 +229,7 @@ class Runtime:
         self.counters["mutator_steps"] += 1
         space = self.layout.classify(obj)
         if space is SpaceKind.H2:
-            self.h2.dirty_card(obj)
+            self.h2.dirty_card(obj, desc.instance_size)
             self.counters["barrier_h2_hits"] += 1
             self.h2.note_reference(obj, value)
         elif space is SpaceKind.H1_OLD and value and self.layout.is_young(value):
@@ -232,21 +237,21 @@ class Runtime:
             self.counters["barrier_h1_hits"] += 1
 
     def write_scalar(self, obj: int, index: int, value: int) -> None:
-        fs = self._field(obj, index, FieldKind.SCALAR)
+        desc, fs = self._field(obj, index, FieldKind.SCALAR)
         self.store_word(obj + fs.offset, value & 0xFFFFFFFFFFFFFFFF)
         self.counters["mutator_steps"] += 1
         if self.layout.is_h2(obj):
-            self.h2.dirty_card(obj)
+            self.h2.dirty_card(obj, desc.instance_size)
             self.counters["barrier_h2_hits"] += 1
 
     def read_ref(self, obj: int, index: int) -> int | None:
-        fs = self._field(obj, index, FieldKind.REF)
+        _, fs = self._field(obj, index, FieldKind.REF)
         self.counters["mutator_steps"] += 1
         value = self.load_word(obj + fs.offset)
         return value or None
 
     def read_scalar(self, obj: int, index: int) -> int:
-        fs = self._field(obj, index, FieldKind.SCALAR)
+        _, fs = self._field(obj, index, FieldKind.SCALAR)
         self.counters["mutator_steps"] += 1
         return self.load_word(obj + fs.offset)
 

@@ -38,7 +38,7 @@ from random import Random
 from .config import RuntimeConfig
 from .errors import TraceError
 from .metrics import COUNTER_COLUMNS, MetricsReport
-from .objmodel import FieldKind, FieldSpec, HEADER_SIZE, WORD_SIZE
+from .objmodel import PARTITION_ID_LIMIT, FieldKind, FieldSpec, HEADER_SIZE, WORD_SIZE
 from .runtime import Runtime
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -436,6 +436,8 @@ class TraceDriver:
     def _ev_build(self, evt: TraceEvent) -> None:
         a = evt.args
         pid = a["part"]
+        if not 0 <= pid < PARTITION_ID_LIMIT:
+            raise self._fail(evt, f"partition id {pid} outside [0, 2**63)")
         if pid in self.partitions:
             raise self._fail(evt, f"partition {pid} already built")
         if a["family"] not in self.families:
