@@ -84,8 +84,9 @@ class Collector:
         its first-object entry, as in the H2 scan.  Cards are not cleared
         here; the commit phase clears and selectively re-dirties them.
         """
-        rt = self.rt
-        h1 = rt.h1
+        h1 = self.rt.h1
+        object_words = h1.object_words
+        young_lo, young_hi = h1.layout.young_base, h1.layout.young_end
         first_obj = h1.first_obj
         slots: list[tuple[int, int]] = []
         dirty = h1.cards.dirty_indexes()
@@ -93,12 +94,10 @@ class Collector:
             seg_end = min(h1.cards.segment_bounds(idx)[1], h1.old_top)
             obj = first_obj[idx]
             while obj and obj < seg_end:
-                desc = rt.descriptor_of(obj)
-                for offset in desc.ref_offsets:
-                    slot = obj + offset
-                    value = h1.load_word(slot)
-                    if value and rt.layout.is_young(value):
-                        slots.append((slot, obj))
+                desc, w = object_words(obj)
+                for k in desc.ref_words:
+                    if young_lo <= w[k] < young_hi:
+                        slots.append((obj + (k << 3), obj))
                 obj += desc.instance_size
         return slots, dirty, len(dirty)
 
@@ -134,9 +133,14 @@ class Collector:
             if value and layout.is_young(value):
                 seeds.append(value)
 
-        # Pass 1: trace the live young graph (read-only).
+        # Pass 1: trace the live young graph (read-only), keeping each live
+        # object's image for the passes below.  Nothing writes a young
+        # object before the copy, so the images stay current.
+        object_words = h1.object_words
+        young_lo, young_hi = layout.young_base, layout.young_end
         visited: set[int] = set()
         order: list[int] = []
+        images: list[tuple] = []
         queue: deque[int] = deque()
         for addr in seeds:
             if addr not in visited:
@@ -144,10 +148,11 @@ class Collector:
                 order.append(addr)
                 queue.append(addr)
         while queue:
-            addr = queue.popleft()
-            for offset in rt.descriptor_of(addr).ref_offsets:
-                value = h1.load_word(addr + offset)
-                if value and layout.is_young(value) and value not in visited:
+            desc, w = image = object_words(queue.popleft())
+            images.append(image)
+            for k in desc.ref_words:
+                value = w[k]
+                if young_lo <= value < young_hi and value not in visited:
                     visited.add(value)
                     order.append(value)
                     queue.append(value)
@@ -161,11 +166,10 @@ class Collector:
         old_cursor = h1.old_top
         threshold = rt.config.h1.tenuring_threshold
         forwarded: dict[int, int] = {}
-        promoted: set[int] = set()
-        for addr in order:
-            size = h1.object_size(addr)
-            age = word_age(rt.load_word(addr))
-            wants_old = age + 1 >= threshold
+        promoted: list[int] = []  # destinations, in address order
+        for addr, (desc, w) in zip(order, images):
+            size = desc.instance_size
+            wants_old = word_age(w[0]) + 1 >= threshold
             if not wants_old and to_cursor + size <= to_limit:
                 forwarded[addr] = to_cursor
                 to_cursor += size
@@ -175,51 +179,47 @@ class Collector:
                         f"promotion of {size} bytes overflows the old generation"
                     )
                 forwarded[addr] = old_cursor
-                promoted.add(addr)
+                promoted.append(old_cursor)
                 old_cursor += size
         phases["plan"] = time.perf_counter() - t_phase
 
-        # Pass 3: copy bytes and bump ages.  Promotion destinations grow from
-        # the old top, so the promoted objects enter the index as one run.
+        # Pass 3: copy and fix in one pass.  Scanned cards are consumed
+        # first; a promoted object that still holds a young reference
+        # re-dirties its card (its segment's stale dirt may just have been
+        # consumed).  Each image gets its age bumped and its young
+        # references forwarded, and is stored at its destination with one
+        # write.  Destinations (the idle survivor half and the old top)
+        # never overlap sources, so no image is stale when stored.
+        # Promotion destinations grow from the old top, so the promoted
+        # objects enter the first-object index as one run.
         t_phase = time.perf_counter()
-        promoted_at: list[int] = []
-        for addr in order:
-            size = h1.object_size(addr)
+        cards = h1.cards
+        for idx in scanned_cards:
+            cards.clear_index(idx)
+        old_base = h1.old_base
+        for addr, (desc, w) in zip(order, images):
             dest = forwarded[addr]
-            h1.write_bytes(dest, h1.read_bytes(addr, size))
-            h1.store_word(dest, bump_age(h1.load_word(dest)))
-            if addr in promoted:
-                promoted_at.append(dest)
-            stats.bytes_copied += size
-        h1.enter_objects(promoted_at, old_cursor)
+            w[0] = bump_age(w[0])
+            has_young_ref = False
+            for k in desc.ref_words:
+                value = w[k]
+                if value in forwarded:
+                    value = w[k] = forwarded[value]
+                if young_lo <= value < young_hi:
+                    has_young_ref = True
+            h1.store_words(dest, w)
+            if has_young_ref and dest >= old_base:
+                cards.dirty(dest)
+            stats.bytes_copied += desc.instance_size
+        h1.enter_objects(promoted, old_cursor)
         h1.old_top = old_cursor
         h1.surv_top[to_idx] = to_cursor
         stats.objects_promoted = len(promoted)
         stats.objects_copied = len(order) - len(promoted)
         phases["copy"] = time.perf_counter() - t_phase
 
-        # Scanned cards are consumed now; the fixup pass below re-dirties
-        # any that still guard an old-to-young reference (including cards
-        # of objects promoted this cycle, which may land in segments whose
-        # stale dirt was just consumed).
+        # Fix every other slot that can hold a young address.
         t_phase = time.perf_counter()
-        for idx in scanned_cards:
-            h1.cards.clear_index(idx)
-
-        # Pass 4: fix every slot that can hold a young address.
-        for addr in order:
-            dest = forwarded[addr]
-            has_young_ref = False
-            for offset in rt.descriptor_of(dest).ref_offsets:
-                slot = dest + offset
-                value = h1.load_word(slot)
-                if value in forwarded:
-                    value = forwarded[value]
-                    h1.store_word(slot, value)
-                if value and layout.is_young(value):
-                    has_young_ref = True
-            if addr in promoted and has_young_ref:
-                h1.cards.dirty(dest)
         rt.rewrite_roots(forwarded)
         for slot, _owner in old_slots:
             value = h1.load_word(slot)
@@ -299,11 +299,17 @@ class Collector:
             value = rt.load_word(slot)
             if value and layout.is_h1(value):
                 note(value)
+        object_words = h1.object_words
+        h1_lo, h1_hi = layout.young_base, layout.old_end  # HeapLayout.is_h1, inlined
         while queue:
-            addr = queue.popleft()
-            for offset in rt.descriptor_of(addr).ref_offsets:
-                value = h1.load_word(addr + offset)
-                if value:
+            desc, w = object_words(queue.popleft())
+            for k in desc.ref_words:
+                value = w[k]
+                if h1_lo <= value < h1_hi:
+                    if value not in live:
+                        live.add(value)
+                        queue.append(value)
+                elif value:
                     note(value)
 
         hint_roots = rt.hints.roots()
@@ -319,47 +325,47 @@ class Collector:
         # -- precompact ------------------------------------------------------
         t_phase = time.perf_counter()
         live_sorted = sorted(live)
+        old_base = h1.old_base
         forwarded: dict[int, int] = {}
         marked_list: list[int] = []
-        slide_old: list[int] = []
-        absorb_young: list[int] = []
+        requests: list[tuple[int, int]] = []  # (partition id, size) per marked object
+        slide_old: list[tuple[int, int]] = []  # (address, size)
+        absorb_young: list[tuple[int, int]] = []
         for addr in live_sorted:
-            if rt.cache_marked(addr):
+            desc, w = object_words(addr)
+            if w[1] & 1:  # the cache-candidate mark
                 marked_list.append(addr)
-            elif layout.is_old(addr):
-                slide_old.append(addr)
+                requests.append((cache_word_partition(w[1]), desc.instance_size))
+            elif addr >= old_base:
+                slide_old.append((addr, desc.instance_size))
             else:
-                absorb_young.append(addr)
+                absorb_young.append((addr, desc.instance_size))
         # The H1 slide is planned and the H2 room checked first, so either
         # failure leaves both heaps as they were.
-        cursor = h1.old_base
+        cursor = old_base
         new_starts: list[int] = []
         unmoved = 0  # the slide's prefix that keeps its place
-        for addr in slide_old + absorb_young:
-            size = h1.object_size(addr)
+        for addr, size in slide_old + absorb_young:
             if cursor + size > h1.old_end:
                 raise HeapExhaustedError(
-                    f"live data ({cursor + size - h1.old_base} bytes) exceeds "
-                    f"the old generation ({h1.old_end - h1.old_base} bytes)"
+                    f"live data ({cursor + size - old_base} bytes) exceeds "
+                    f"the old generation ({h1.old_end - old_base} bytes)"
                 )
             forwarded[addr] = cursor
             if cursor == addr:
                 unmoved += 1
             new_starts.append(cursor)
             cursor += size
-        requests = [
-            (cache_word_partition(rt.cache_word_of(addr)), h1.object_size(addr))
-            for addr in marked_list
-        ]
         h2.check_room(requests)
         for addr, (pid, size) in zip(marked_list, requests):
             forwarded[addr] = h2.allocate_in_region(pid, size)
+        store_word = h1.store_word
         for addr in live_sorted:
-            for offset in rt.descriptor_of(addr).ref_offsets:
-                slot = addr + offset
-                value = h1.load_word(slot)
-                if value in forwarded:
-                    h1.store_word(slot, forwarded[value])
+            desc, w = object_words(addr)
+            for k in desc.ref_words:
+                new = forwarded.get(w[k])
+                if new is not None and new != w[k]:
+                    store_word(addr + (k << 3), new)
         rt.rewrite_roots(forwarded)
         stats.phase_seconds["precompact"] = time.perf_counter() - t_phase
 
@@ -370,12 +376,12 @@ class Collector:
         stats.objects_moved_to_h2 = moved
         stats.bytes_moved_to_h2 = bytes_moved
         stats.h2_flush_ops = writer.flush_ops
-        for addr in slide_old:
+        for addr, size in slide_old:
             dest = forwarded[addr]
             if dest != addr:
-                h1.write_bytes(dest, h1.read_bytes(addr, h1.object_size(addr)))
-        for addr in absorb_young:
-            h1.write_bytes(forwarded[addr], h1.read_bytes(addr, h1.object_size(addr)))
+                h1.write_bytes(dest, h1.read_bytes(addr, size))
+        for addr, size in absorb_young:
+            h1.write_bytes(forwarded[addr], h1.read_bytes(addr, size))
         h1.finish_slide(new_starts[unmoved:], cursor)
         h1.reset_young()
         h1.cards.clear_all()

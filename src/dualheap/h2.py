@@ -39,9 +39,12 @@ slots a walk just reported, need no hook.  A dirty card that nothing has
 written since such a walk is visited, counted and cleaned as before, but
 its words are not read again.
 
-A scan pass visits only dirty cards: it asks the card bytes of each owned
-stripe for the next dirty index (`bytearray.find`), so its cost follows the
-number of dirty cards and the bytes they cover, not the size of the table.
+A scan pass visits only dirty cards: it asks the card bytes for the next
+dirty index (`bytearray.find`) from its position, and a dirty card in
+another thread's stripe sends it to the start of its own next stripe.  Its
+cost follows the number of dirty cards and the bytes they cover, not the
+size of the table or its number of stripes: a clean table costs one
+`find` per scan thread.
 Objects overlapping a dirty segment are located via the first-object
 table (see `HeapSpace`); allocation inside a region is gap-free, so a walk
 from a covered segment's entry parses every object overlapping it.  The
@@ -298,43 +301,49 @@ class H2Heap(HeapSpace):
         refs: list[tuple[int, int]] = []
         cards_scanned = 0
         bytes_walked = 0
-        for stripe in range(thread_id, table.n_stripes, table.scan_threads):
-            lo = stripe * per
-            hi = lo + per
-            idx = cards.find(CARD_DIRTY, lo, hi)
-            while idx >= 0:
-                cards_scanned += 1
-                seg_start = base + idx * segment
-                walk_end = min(seg_start + segment, self.region_alloc_end(idx // per_region))
-                if walk_end > seg_start:
-                    bytes_walked += walk_end - seg_start
-                found = 0
-                start = first_obj[idx]
-                if start and start < walk_end and touched[idx]:
-                    # w[i] is the word at start + 8 * i; the walk ends at n.
-                    w = load_words(start, walk_end)
-                    n = len(w)
-                    i = 0
-                    while i < n:
-                        desc = lookup(w[i] >> 32)
-                        if desc is None:
-                            raise HeapCorruptionError(
-                                f"unparseable object header at {start + (i << 3):#x}"
-                            )
-                        end = i + (desc.instance_size >> 3)
-                        if end > n:  # the last object spills past walk_end
-                            w += load_words(walk_end, start + (end << 3))
-                        for offset in desc.ref_offsets:
-                            value = w[i + (offset >> 3)]
-                            if young_lo <= value < young_hi or old_lo <= value < old_hi:
-                                refs.append((start + (i << 3) + offset, value))
-                                found += 1
-                        i = end
-                if found == 0:
-                    touched[idx] = 0
-                    if idx != lo and idx != hi - 1:  # not a boundary card
-                        cards[idx] = CARD_CLEAN
-                idx = cards.find(CARD_DIRTY, idx + 1, hi)
+        threads = table.scan_threads
+        # One search runs over the whole table.  A dirty card in another
+        # thread's stripe sends it on to the start of this thread's next
+        # stripe, so a clean table costs one `find`, however many stripes.
+        idx = cards.find(CARD_DIRTY, thread_id * per)
+        while idx >= 0:
+            stripe = idx // per
+            skip = (thread_id - stripe) % threads
+            if skip:
+                idx = cards.find(CARD_DIRTY, (stripe + skip) * per)
+                continue
+            cards_scanned += 1
+            seg_start = base + idx * segment
+            walk_end = min(seg_start + segment, self.region_alloc_end(idx // per_region))
+            if walk_end > seg_start:
+                bytes_walked += walk_end - seg_start
+            found = 0
+            start = first_obj[idx]
+            if start and start < walk_end and touched[idx]:
+                # w[i] is the word at start + 8 * i; the walk ends at n.
+                w = load_words(start, walk_end)
+                n = len(w)
+                i = 0
+                while i < n:
+                    desc = lookup(w[i] >> 32)
+                    if desc is None:
+                        raise HeapCorruptionError(
+                            f"unparseable object header at {start + (i << 3):#x}"
+                        )
+                    end = i + (desc.instance_size >> 3)
+                    if end > n:  # the last object spills past walk_end
+                        w += load_words(walk_end, start + (end << 3))
+                    for r in desc.ref_words:
+                        value = w[i + r]
+                        if young_lo <= value < young_hi or old_lo <= value < old_hi:
+                            refs.append((start + ((i + r) << 3), value))
+                            found += 1
+                    i = end
+            if found == 0:
+                touched[idx] = 0
+                if 0 < idx - stripe * per < per - 1:  # not a boundary card
+                    cards[idx] = CARD_CLEAN
+            idx = cards.find(CARD_DIRTY, idx + 1)
         counters = self.counters
         if bytes_walked:
             counters["h2_segment_bytes_walked"] += bytes_walked

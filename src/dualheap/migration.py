@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .objmodel import SpaceKind, cache_word, cache_word_partition, word_class_id
+from .errors import HeapError
+from .objmodel import PARTITION_ID_LIMIT, SpaceKind, cache_word_partition
 
 if TYPE_CHECKING:
     from .runtime import Runtime
@@ -81,6 +82,8 @@ def persist(rt: "Runtime", root: int, partition_id: int) -> None:
     different id overwrites the partition id (last writer wins).  Roots
     already living in H2 are left untouched.
     """
+    if not 0 <= partition_id < PARTITION_ID_LIMIT:
+        raise HeapError(f"partition id {partition_id} outside [0, 2**63)")
     space = rt.layout.classify(root)
     rt.tag_root_slots(root, partition_id)
     if space is SpaceKind.H2:
@@ -112,6 +115,7 @@ def etr_mark_closure(rt: "Runtime", hinted: list[PersistHint]) -> int:
     id of the first hint that reaches it; hints are processed in order.
     Returns the number of distinct objects carrying a mark after the call.
     """
+    object_words = rt.object_words
     visited: set[int] = set()
     for hint in hinted:
         root = hint.root
@@ -124,15 +128,18 @@ def etr_mark_closure(rt: "Runtime", hinted: list[PersistHint]) -> int:
         stack = [root]
         while stack:
             addr = stack.pop()
-            for offset in rt.descriptor_of(addr).closure_offsets:
-                target = rt.load_word(addr + offset)
+            desc, words = object_words(addr)
+            # An object is popped during the walk of the hint that reached
+            # it, so marking it here, from its image, gives that hint's id.
+            if not words[1] & 1:
+                rt.set_cache_mark(addr, partition_id)
+            for k in desc.closure_words:
+                target = words[k]
                 if not target or target in visited:
                     continue
                 if rt.layout.is_h2(target):
                     continue
                 visited.add(target)
-                if not rt.cache_marked(target):
-                    rt.set_cache_mark(target, partition_id)
                 stack.append(target)
     return len(visited)
 
@@ -217,13 +224,12 @@ def transfer_marked(
 
     Fields were already rewritten through the relocation map, so the
     copied image is final.  Each landed object's card is dirtied without
-    inspecting fields; its words are then read back once, with one
-    `load_words`, so that cross-region H2 references merge the regions'
+    inspecting fields; its image is then read back once, with one
+    `object_words`, so that cross-region H2 references merge the regions'
     groups.  H1 targets remaining in (transient) fields become backward
     references and are picked up by the next dirty-card scan.
     """
     h2 = rt.h2
-    lookup = rt.registry.maybe_get
     landed: list[tuple[int, int]] = []
     total = 0
     for addr in marked:
@@ -235,9 +241,9 @@ def transfer_marked(
     writer.finish()
     for dest, size in landed:
         h2.dirty_card(dest)
-        w = h2.load_words(dest, dest + size)
-        for offset in lookup(word_class_id(w[0])).ref_offsets:
-            h2.note_reference(dest, w[offset >> 3])
+        desc, w = h2.object_words(dest)
+        for k in desc.ref_words:
+            h2.note_reference(dest, w[k])
     moved = len(landed)
     rt.counters["objects_moved_to_h2"] += moved
     rt.counters["bytes_moved_to_h2"] += total

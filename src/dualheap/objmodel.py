@@ -26,6 +26,7 @@ per-card first-object table that locates the objects overlapping a card.
 from __future__ import annotations
 
 import enum
+import struct
 import sys
 from dataclasses import dataclass, field
 
@@ -63,13 +64,15 @@ class ClassDescriptor:
     class_id: int
     fields: tuple[FieldSpec, ...]
     instance_size: int
-    # Precomputed index and offset lists so the hot paths never filter.
+    # Precomputed index lists so the hot paths never filter.
     ref_indexes: tuple[int, ...] = field(default=(), compare=False)
     scalar_indexes: tuple[int, ...] = field(default=(), compare=False)
-    # Byte offsets of every reference field, and of the non-transient ones
-    # (the fields cache-closure marking follows), in field order.
-    ref_offsets: tuple[int, ...] = field(default=(), compare=False)
-    closure_offsets: tuple[int, ...] = field(default=(), compare=False)
+    # Word indexes (byte offset >> 3) into the object's image, in field
+    # order: of every reference field, of the non-transient ones (the
+    # fields cache-closure marking follows), and of every scalar field.
+    ref_words: tuple[int, ...] = field(default=(), compare=False)
+    closure_words: tuple[int, ...] = field(default=(), compare=False)
+    scalar_words: tuple[int, ...] = field(default=(), compare=False)
 
 
 class ClassRegistry:
@@ -104,14 +107,16 @@ class ClassRegistry:
             raise LayoutError("class id space exhausted")
         self._next_id += 1
         refs = [f for f in fields if f.kind is FieldKind.REF]
+        scalars = [f for f in fields if f.kind is FieldKind.SCALAR]
         desc = ClassDescriptor(
             class_id=class_id,
             fields=fields,
             instance_size=instance_size,
             ref_indexes=tuple(i for i, f in enumerate(fields) if f.kind is FieldKind.REF),
             scalar_indexes=tuple(i for i, f in enumerate(fields) if f.kind is FieldKind.SCALAR),
-            ref_offsets=tuple(f.offset for f in refs),
-            closure_offsets=tuple(f.offset for f in refs if not f.transient),
+            ref_words=tuple(f.offset >> 3 for f in refs),
+            closure_words=tuple(f.offset >> 3 for f in refs if not f.transient),
+            scalar_words=tuple(f.offset >> 3 for f in scalars),
         )
         self._by_id[class_id] = desc
         return desc
@@ -244,8 +249,10 @@ class HeapSpace:
 
     Words are read and written through one `memoryview` of the buffer cast
     to unsigned 64-bit words, indexed by the word offset from `base`.
-    `first_obj` has one entry per card of `cards`: the address of the
-    object covering the card's first byte, or 0 when no object does.  As
+    Object walks read an object's whole image with `object_words` and store
+    one back with `store_words`, one native call each.  `first_obj` has
+    one entry per card of `cards`: the address of the object covering the
+    card's first byte, or 0 when no object does.  As
     objects lie without gaps, a walk from a card's entry parses every
     object overlapping the card, including one spilling in from before it.
     """
@@ -257,6 +264,7 @@ class HeapSpace:
         self.registry = registry
         self.cards = cards
         self.first_obj = [0] * cards.n_cards
+        self._packers: dict[int, struct.Struct] = {}  # word count -> its packer
 
     def close(self) -> None:
         # The view must be released first: an mmap with exported buffers
@@ -282,6 +290,26 @@ class HeapSpace:
     def write_bytes(self, addr: int, data: bytes) -> None:
         off = addr - self.base
         self.buf[off : off + len(data)] = data
+
+    def store_words(self, addr: int, words: list[int]) -> None:
+        """Store `words` from address `addr` onward, in one native write."""
+        n = len(words)
+        packer = self._packers.get(n)
+        if packer is None:
+            packer = self._packers[n] = struct.Struct(f"<{n}Q")
+        off = addr - self.base
+        self.buf[off : off + (n << 3)] = packer.pack(*words)
+
+    def object_words(self, addr: int) -> tuple[ClassDescriptor, list[int]]:
+        """The descriptor of the object at `addr` and its image: every word
+        of the object, in one native read, so that `words[k]` is the word
+        at `addr + 8 * k`.  This is the read path of the object walks."""
+        words = self.words
+        i = (addr - self.base) >> 3
+        desc = self.registry.maybe_get(words[i] >> 32)
+        if desc is None:
+            raise HeapCorruptionError(f"unparseable object header at {addr:#x}")
+        return desc, words[i : i + (desc.instance_size >> 3)].tolist()
 
     def object_size(self, addr: int) -> int:
         desc = self.registry.maybe_get(word_class_id(self.load_word(addr)))

@@ -11,6 +11,12 @@ that heap's word view (its buffer cast to unsigned 64-bit words) at the word
 offset from the heap base, so H1 and H2 objects share one code path and no
 lookup or translation step.  Heap addresses of words are 8-byte aligned.
 
+Per-word access (`load_word`, `store_word`, `descriptor_of`) serves the
+mutator API.  Object walkers (the driver's traversal, the serializer, the
+collections and closure marking) read whole object images instead:
+`object_words` returns an object's descriptor and all its words from one
+native read, and they index that list.
+
 The post-write barrier after every reference store performs one range
 classification and at most one card-byte store: writes into old-generation
 objects dirty the old-to-young card when the stored value is young, and
@@ -137,6 +143,16 @@ class Runtime:
         if layout.h2_base <= addr < layout.h2_end:
             self.h2.words[(addr - layout.h2_base) >> 3] = value
             return
+        raise InvalidHandleError(f"address {addr:#x} outside all heap spaces")
+
+    def object_words(self, addr: int) -> tuple[ClassDescriptor, list[int]]:
+        """The descriptor and image of the object at `addr`: one range
+        check, then `HeapSpace.object_words` of the heap holding it."""
+        layout = self.layout
+        if layout.young_base <= addr < layout.old_end:
+            return self.h1.object_words(addr)
+        if layout.h2_base <= addr < layout.h2_end:
+            return self.h2.object_words(addr)
         raise InvalidHandleError(f"address {addr:#x} outside all heap spaces")
 
     # ------------------------------------------------------------------
@@ -338,7 +354,5 @@ class Runtime:
             yield from self.h2.iter_span(self.h2.region_start(r), self.h2.region_alloc_end(r))
 
     def scalar_values(self, addr: int) -> tuple[int, ...]:
-        desc = self.descriptor_of(addr)
-        return tuple(
-            self.load_word(addr + desc.fields[i].offset) for i in desc.scalar_indexes
-        )
+        desc, words = self.object_words(addr)
+        return tuple(words[k] for k in desc.scalar_words)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from random import Random
 
 from .config import RuntimeConfig
-from .errors import TraceError
+from .errors import HeapError, TraceError
 from .metrics import COUNTER_COLUMNS, MetricsReport
 from .objmodel import PARTITION_ID_LIMIT, FieldKind, FieldSpec, HEADER_SIZE, WORD_SIZE
 from .runtime import Runtime
@@ -48,10 +48,18 @@ _U32 = struct.Struct("<I")
 N_CLASS_VARIANTS = 8
 
 
+def seed_of(text: str) -> int:
+    """The 64-bit seed of a pre-joined `derive_seed` key, for hot loops
+    that format the key in one f-string: ``seed_of(f"delta:{seed}:{k}")``
+    equals ``derive_seed("delta", seed, k)``."""
+    return _U64.unpack_from(hashlib.sha256(text.encode()).digest())[0]
+
+
 def derive_seed(*parts) -> int:
-    """Stable 64-bit seed derivation (independent of PYTHONHASHSEED)."""
-    blob = ":".join(str(p) for p in parts).encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")
+    """Stable 64-bit seed derivation (independent of PYTHONHASHSEED): the
+    first 8 bytes, little-endian, of the SHA-256 of the parts joined by
+    ':'."""
+    return seed_of(":".join(str(p) for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -224,40 +232,53 @@ class BaselineSerializer:
 
     def __init__(self, rt: Runtime) -> None:
         self.rt = rt
+        # class id -> (record struct, (word index, is reference) per
+        # encoded field): the record layout, derived once per class.
+        self._records: dict[int, tuple[struct.Struct, tuple[tuple[int, bool], ...]]] = {}
+
+    def _record(self, desc) -> tuple[struct.Struct, tuple[tuple[int, bool], ...]]:
+        rec = self._records.get(desc.class_id)
+        if rec is None:
+            fields = tuple(
+                (fs.offset >> 3, fs.kind is FieldKind.REF)
+                for fs in desc.fields
+                if not fs.transient
+            )
+            rec = self._records[desc.class_id] = (struct.Struct(f"<I{len(fields)}Q"), fields)
+        return rec
 
     def serialize(self, root: int) -> bytes:
-        rt = self.rt
+        """Encode the closure of `root`, reading each object's image once."""
+        object_words = self.rt.object_words
         ids: dict[int, int] = {}
-        order: list[int] = []
+        images: list[tuple] = []
         stack = [root]
         while stack:
             addr = stack.pop()
             if addr in ids:
                 continue
-            ids[addr] = len(order) + 1
-            order.append(addr)
-            desc = rt.descriptor_of(addr)
-            children = []
-            for offset in desc.closure_offsets:
-                target = rt.load_word(addr + offset)
-                if target:
-                    children.append(target)
-            stack.extend(reversed(children))
-        out = bytearray()
-        out += _U64.pack(len(order))
-        for addr in order:
-            desc = rt.descriptor_of(addr)
-            out += _U32.pack(desc.class_id)
-            for fs in desc.fields:
-                value = rt.load_word(addr + fs.offset)
-                if fs.kind is FieldKind.SCALAR:
-                    out += _U64.pack(value)
-                elif not fs.transient:
-                    out += _U64.pack(ids.get(value, 0) if value else 0)
-        return _U64.pack(len(out)) + bytes(out)
+            ids[addr] = len(images) + 1
+            desc, w = image = object_words(addr)
+            images.append(image)
+            stack.extend(w[k] for k in reversed(desc.closure_words) if w[k])
+        out = [_U64.pack(len(images))]
+        for desc, w in images:
+            record, fields = self._record(desc)
+            out.append(record.pack(
+                desc.class_id, *[ids.get(w[k], 0) if is_ref else w[k] for k, is_ref in fields]
+            ))
+        body = b"".join(out)
+        return _U64.pack(len(body)) + body
 
     def deserialize(self, blob: bytes) -> tuple[int, int]:
-        """Rebuild the graph; returns (root handle, total instance bytes)."""
+        """Rebuild the graph; returns (root handle, total instance bytes).
+
+        Every object is allocated first, through root slots, since an
+        allocation may collect.  After the last one nothing moves, so each
+        object's fields are then stored as one image from word 2 on (the
+        header words keep what allocation and collections set), with the
+        post-write barrier applied per reference word.
+        """
         rt = self.rt
         (length,) = _U64.unpack_from(blob, 0)
         if length != len(blob) - 8:
@@ -265,36 +286,48 @@ class BaselineSerializer:
         pos = 8
         (count,) = _U64.unpack_from(blob, pos)
         pos += 8
-        records: list[tuple[int, list[tuple[FieldSpec, int]]]] = []
+        records: list[tuple] = []
         for _ in range(count):
             (class_id,) = _U32.unpack_from(blob, pos)
-            pos += 4
             desc = rt.registry.get(class_id)
-            values: list[tuple[FieldSpec, int]] = []
-            for fs in desc.fields:
-                if fs.kind is FieldKind.REF and fs.transient:
-                    values.append((fs, 0))
-                    continue
-                (value,) = _U64.unpack_from(blob, pos)
-                pos += 8
-                values.append((fs, value))
-            records.append((class_id, values))
+            record, fields = self._record(desc)
+            values = record.unpack_from(blob, pos)
+            pos += record.size
+            records.append((desc, fields, values))
         roster = RootedHandles(rt)
         total = 0
-        for class_id, _values in records:
-            desc = rt.registry.get(class_id)
+        for desc, _fields, _values in records:
             roster.append(rt.allocate(desc))
             total += desc.instance_size
-        for i, (class_id, values) in enumerate(records):
-            obj = roster.get(i)
-            desc = rt.registry.get(class_id)
-            for fi, (fs, value) in enumerate(values):
-                if fs.kind is FieldKind.SCALAR:
-                    rt.write_scalar(obj, fi, value)
-                elif not fs.transient and value:
-                    rt.write_ref(obj, fi, roster.get(value - 1))
-        root = roster.get(0)
+        addrs = [roster.get(i) for i in range(count)]
+        root = addrs[0]
         roster.release()
+
+        h1 = rt.h1
+        layout = rt.layout
+        young_lo, young_hi = layout.young_base, layout.young_end
+        old_lo, old_hi = layout.old_base, layout.old_end
+        steps = hits = 0
+        for obj, (desc, fields, values) in zip(addrs, records):
+            if not young_lo <= obj < old_hi:
+                raise HeapError(f"rebuilt object {obj:#x} lies outside H1")
+            is_old = obj >= old_lo
+            w = [0] * ((desc.instance_size - HEADER_SIZE) >> 3)  # the words after the header
+            for (k, is_ref), value in zip(fields, values[1:]):
+                if is_ref:
+                    if not value:
+                        continue
+                    value = addrs[value - 1]
+                    if is_old and young_lo <= value < young_hi:
+                        h1.cards.dirty(obj)
+                        hits += 1
+                w[k - 2] = value
+                steps += 1
+            h1.store_words(obj + HEADER_SIZE, w)
+        counters = rt.counters
+        counters["mutator_steps"] += steps
+        if hits:
+            counters["barrier_h1_hits"] += hits
         return root, total
 
 
@@ -454,7 +487,7 @@ class TraceDriver:
             roster.append(handle)
             footprint += desc.instance_size
             for k, si in enumerate(desc.scalar_indexes):
-                self.rt.write_scalar(handle, si, derive_seed("tag", pid, i, k))
+                self.rt.write_scalar(handle, si, seed_of(f"tag:{pid}:{i}:{k}"))
         count = a["count"]
         for i in range(count):
             obj = roster.get(i)
@@ -540,24 +573,21 @@ class TraceDriver:
     def _traverse(self, part: _Partition) -> tuple[list[int], int]:
         """Objects reachable over non-transient references, in a
         deterministic breadth-first order, with their scalar checksum."""
-        rt = self.rt
+        object_words = self.rt.object_words
         root = self._root_of(part)
         seen = {root}
         order = [root]
-        checksum = 0
-        i = 0
-        while i < len(order):
-            addr = order[i]
-            i += 1
-            desc = rt.descriptor_of(addr)
-            for si in desc.scalar_indexes:
-                checksum = (checksum + rt.load_word(addr + desc.fields[si].offset)) & _MASK64
-            for offset in desc.closure_offsets:
-                target = rt.load_word(addr + offset)
+        checksum = 0  # the scalar sum, masked to 64 bits once at the end
+        for addr in order:  # order grows while it is walked
+            desc, w = object_words(addr)
+            for k in desc.scalar_words:
+                checksum += w[k]
+            for k in desc.closure_words:
+                target = w[k]
                 if target and target not in seen:
                     seen.add(target)
                     order.append(target)
-        checksum = (checksum * 0x100000001B3 + len(order)) & _MASK64
+        checksum = ((checksum & _MASK64) * 0x100000001B3 + len(order)) & _MASK64
         return order, checksum
 
     def _object_checksum(self, addr: int) -> int:
@@ -581,14 +611,16 @@ class TraceDriver:
         if self.mode == "SD":
             self._sd_ensure_resident(part)
         order, _ = self._traverse(part)
-        rng = Random(derive_seed("mutate", part.pid, evt.args["seed"]))
+        seed = evt.args["seed"]
+        rng = Random(derive_seed("mutate", part.pid, seed))
+        rt = self.rt
         for k in range(evt.args["count"]):
             addr = order[rng.randrange(len(order))]
-            desc = self.rt.descriptor_of(addr)
+            desc, _ = rt.object_words(addr)
             index = desc.scalar_indexes[-1]
-            value = self.rt.read_scalar(addr, index)
-            delta = derive_seed("delta", evt.args["seed"], k)
-            self.rt.write_scalar(addr, index, (value + delta) & _MASK64)
+            value = rt.read_scalar(addr, index)
+            delta = seed_of(f"delta:{seed}:{k}")
+            rt.write_scalar(addr, index, (value + delta) & _MASK64)
 
     def _ev_unpersist(self, evt: TraceEvent) -> None:
         pid = evt.args["part"]

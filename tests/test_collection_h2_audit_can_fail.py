@@ -36,3 +36,31 @@ def test_scan_read_outside_dirty_segments_fails_the_audit():
         with pytest.raises(AssertionError, match="outside dirty segments"):
             run_disciplined(rt, rt.minor_collect)
         del slot
+
+
+def test_object_image_read_under_clean_card_fails_the_audit():
+    # Object walks read H2 through `object_words`; the audit must see those
+    # reads too, so an image read of an object under a clean card made
+    # inside the audited callable has to be reported.
+    with Runtime(make_config()) as rt:
+        desc = register_node_class(rt, refs=1, scalars=1)
+        slot = build_chain(rt, desc, 900)  # four 8 KiB cards of H2 data
+        rt.persist(rt.read_root(slot), 1)
+        rt.major_collect()
+        rt.minor_collect()  # cleans every non-boundary card
+        h2 = rt.h2
+        seg = h2.cards.segment
+        size = desc.instance_size
+        stray = next(
+            a for a in sorted(rt.iter_h2_objects())
+            if a >= h2.base + 2 * seg and a + size <= h2.base + 3 * seg
+        )
+        assert not h2.cards.is_dirty(2)
+
+        def collect_then_read_stray():
+            rt.minor_collect()
+            rt.object_words(stray)
+
+        with pytest.raises(AssertionError, match="outside dirty segments"):
+            run_disciplined(rt, collect_then_read_stray)
+        del slot

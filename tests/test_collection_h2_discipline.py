@@ -9,7 +9,8 @@ table and region metadata are not payload and are unrestricted.
 The log sees H2 payload through the methods `AccessLog` wraps.  The
 dirty-card scan reads through `H2Heap.load_words`, one range per card; the
 wrapper logs it as one 8-byte read per word of the range, so the check is
-as strict per word as for `load_word`.
+as strict per word as for `load_word`.  Object walks read whole images
+through `H2Heap.object_words`, logged as one read of the object's size.
 """
 
 from random import Random
@@ -33,6 +34,7 @@ class AccessLog:
         orig_rt_load, orig_rt_store = rt.load_word, rt.store_word
         orig_h2_load, orig_h2_store = h2.load_word, h2.store_word
         orig_h2_load_words = h2.load_words
+        orig_h2_object_words = h2.object_words
         orig_write_bytes, orig_read_bytes = h2.write_bytes, h2.read_bytes
         orig_alloc = h2.allocate_in_region
 
@@ -48,6 +50,13 @@ class AccessLog:
             return orig_h2_load_words(start, stop)
 
         h2.load_words = load_words
+
+        def object_words(addr):
+            desc, words = orig_h2_object_words(addr)
+            self.reads.append((addr, desc.instance_size))
+            return desc, words
+
+        h2.object_words = object_words
         h2.store_word = lambda a, v: self.writes.append((a, 8)) or orig_h2_store(a, v)
         h2.write_bytes = lambda a, d: self.writes.append((a, len(d))) or orig_write_bytes(a, d)
         h2.read_bytes = lambda a, n: self.reads.append((a, n)) or orig_read_bytes(a, n)
@@ -61,12 +70,14 @@ class AccessLog:
         self._restore = (
             orig_rt_load, orig_rt_store, orig_h2_load, orig_h2_store,
             orig_write_bytes, orig_read_bytes, orig_alloc, orig_h2_load_words,
+            orig_h2_object_words,
         )
 
     def uninstall(self):
         rt, h2 = self.rt, self.rt.h2
         (rt.load_word, rt.store_word, h2.load_word, h2.store_word,
-         h2.write_bytes, h2.read_bytes, h2.allocate_in_region, h2.load_words) = self._restore
+         h2.write_bytes, h2.read_bytes, h2.allocate_in_region, h2.load_words,
+         h2.object_words) = self._restore
 
 
 def sanctioned_extents(rt):

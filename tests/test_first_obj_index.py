@@ -57,7 +57,8 @@ def brute_force_old_card_slots(rt):
         seg_end = min(seg_end, h1.old_top)
         for obj in h1.iter_old_objects():
             if obj < seg_end and obj + h1.object_size(obj) > seg_start:
-                for offset in rt.descriptor_of(obj).ref_offsets:
+                desc = rt.descriptor_of(obj)
+                for offset in (desc.fields[fi].offset for fi in desc.ref_indexes):
                     value = h1.load_word(obj + offset)
                     if value and rt.layout.is_young(value):
                         slots.append((obj + offset, obj))

@@ -49,6 +49,44 @@ def test_scan_all_clean_is_empty(rt):
     assert cards == 0
 
 
+class CountingCards(bytearray):
+    """Card bytes that count the `find` calls made on them."""
+
+    finds = 0
+
+    def find(self, *args):
+        self.finds += 1
+        return super().find(*args)
+
+
+def test_scan_of_clean_table_makes_one_find_per_thread():
+    # 2 MiB of 16 KiB stripes: 128 stripes, 64 per scan thread.
+    with Runtime(make_config(stripe=16 * KIB, threads=2)) as rt:
+        table = rt.h2.cards
+        assert table.n_stripes == 128
+        table.cards = CountingCards(table.cards)
+        assert scan_all(rt) == ([], 0)
+        assert table.cards.finds <= rt.config.h2.scan_threads
+
+
+def test_scan_skips_other_threads_stripes_without_missing_cards():
+    # Dirty cards in every stripe position: each thread visits exactly the
+    # cards of its own stripes, boundary cards staying dirty.
+    with Runtime(make_config(stripe=32 * KIB, threads=2)) as rt:
+        table = rt.h2.cards
+        per = table.cards_per_stripe
+        assert per == 4
+        dirty = [s * per + pos for s in range(0, 40, 3) for pos in range(per)]
+        for idx in dirty:
+            table.cards[idx] = 1
+        for tid in range(2):
+            _refs, n = rt.h2.scan_dirty_cards(tid)
+            assert n == sum(1 for idx in dirty if table.thread_of_card(idx) == tid)
+        assert [i for i in range(table.n_cards) if table.is_dirty(i)] == [
+            idx for idx in dirty if table.is_boundary(idx)
+        ]
+
+
 def _h2_object_with_field(rt, desc, partition=1):
     """Allocate one object image directly in H2 for card-scan tests."""
     addr = rt.h2.allocate_in_region(partition, desc.instance_size)
@@ -398,8 +436,8 @@ def _mixed_size_heap(rt, plan, draw_target):
         h2.write_bytes(addr + 16, scalar_fill * len(desc.fields))
         h2.store_word(addr, class_age_word(desc.class_id, 0))
         h2.store_word(addr + 8, 0)
-        for offset in desc.ref_offsets:
-            h2.store_word(addr + offset, draw_target())
+        for fi in desc.ref_indexes:
+            h2.store_word(addr + desc.fields[fi].offset, draw_target())
         if kind == "pad":
             assert (addr + desc.instance_size - h2.base) % seg == 0
 

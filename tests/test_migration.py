@@ -67,6 +67,23 @@ def test_persist_invalid_handle_rejected(rt):
         rt.persist(12, 1)
 
 
+@pytest.mark.parametrize("pid", [-1, 2**63])
+def test_persist_rejects_partition_id_outside_63_bits(rt, pid):
+    from dualheap import HeapError
+
+    desc = register_node_class(rt)
+    slot = rt.add_root(rt.allocate(desc))
+    root = rt.read_root(slot)
+    rt.persist(root, 3)
+    with pytest.raises(HeapError, match="partition id"):
+        rt.persist(root, pid)
+    # Nothing changed: the slot keeps its tag, the root its mark and hint.
+    assert rt.slots_tagged(3) == [slot]
+    assert rt.slots_tagged(pid) == []
+    assert cache_word_partition(rt.cache_word_of(root)) == 3
+    assert rt.hints.roots() == [root]
+
+
 def test_persist_defers_movement_to_major(rt):
     desc = register_node_class(rt)
     slot = build_chain(rt, desc, 5)
