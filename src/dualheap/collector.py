@@ -128,9 +128,10 @@ class Collector:
                 seeds.append(value)
         for slot, _owner in old_slots:
             seeds.append(h1.load_word(slot))
-        for slot, _target in backward:
-            value = rt.load_word(slot)
-            if value and layout.is_young(value):
+        # The scan reported each backward slot's value, and nothing writes
+        # H2 before the fixup below.
+        for _slot, value in backward:
+            if layout.is_young(value):
                 seeds.append(value)
 
         # Pass 1: trace the live young graph (read-only), keeping each live
@@ -225,8 +226,7 @@ class Collector:
             value = h1.load_word(slot)
             if value in forwarded:
                 h1.store_word(slot, forwarded[value])
-        for slot in dict.fromkeys(slot for slot, _ in backward):
-            value = rt.load_word(slot)
+        for slot, value in dict(backward).items():  # a spilling slot may repeat
             if value in forwarded:
                 rt.store_word(slot, forwarded[value])
         rt.hints.remap_after_minor(forwarded, layout.is_young)

@@ -15,6 +15,10 @@ per object:
     reference into it survives.  Merging is a single link; member
     enumeration is deferred to reclaim time.
 
+Free regions wait in a min-heap and are taken lowest index first; the
+allocated ones are kept in a set, so clearing USED bits, reclaiming and
+listing regions cost what is allocated, not the configured region count.
+
 A major collection asks `check_room` whether its marked objects fit the
 free regions before it allocates any, under the same bump rule as
 `allocate_in_region`, so running out of regions leaves H2 as it was.
@@ -31,13 +35,18 @@ boundary card is visited on every collection.
 A visited card is walked only when it is touched.  `touched` holds one
 byte per card, set when the card's words may hold an H1 reference that no
 walk has seen: on every card an object overlaps when the object is
-allocated (`allocate_in_region`) or stored to through the barrier
-(`dirty_card(addr, size)`), and on the one card of `dirty_card(addr)`.  A
-walk that finds no reference clears it; a walk that finds references
-leaves it set, so the minor fixup and the adjust phase, which rewrite only
-slots a walk just reported, need no hook.  A dirty card that nothing has
-written since such a walk is visited, counted and cleaned as before, but
-its words are not read again.
+allocated (`allocate_in_region`) or a reference is stored into it through
+the barrier (`dirty_card(addr, size)`), and on the one card of
+`dirty_card(addr)`.  A scalar store only dirties its card (`mark_card`),
+since it cannot add an H1 reference.  Every walk clears `touched`.  A walk
+that finds references keeps their slot addresses, in walk order, in
+`remembered`; a walk that finds none forgets the card.  A dirty card that
+is not touched reads only its remembered slots and reports those still
+holding an H1 address, in the same order; the rest of its words are not
+read again.  The slots the minor fixup and the adjust phase rewrite are
+ones the scan just reported, so they stay remembered and need no hook; a
+slot whose target an adjust phase moved into H2 is dropped at the next
+scan.  Freeing a region drops its cards' slots and `touched` bytes.
 
 A scan pass visits only dirty cards: it asks the card bytes for the next
 dirty index (`bytearray.find`) from its position, and a dirty card in
@@ -51,9 +60,9 @@ from a covered segment's entry parses every object overlapping it.  The
 walk reads a card's words with one `load_words` call, from the card's
 entry to the end of its allocated part, plus one more for the tail of a
 last object that spills past it; it then steps through that list, not
-through a `load_word` call per word.  `load_words` is the scan's one
-payload read path, so a wrapper installed on the instance sees every word
-it reads.
+through a `load_word` call per word.  `load_words` and, for remembered
+slots, `load_word` are the scan's only payload reads, both bound from the
+instance, so a wrapper installed on it sees every word the scan reads.
 
 Payload words go through the mapping's word view, so the backing file is
 a raw little-endian image of the heap.
@@ -61,6 +70,7 @@ a raw little-endian image of the heap.
 
 from __future__ import annotations
 
+import heapq
 import mmap
 from collections import defaultdict
 from pathlib import Path
@@ -157,6 +167,8 @@ class H2Heap(HeapSpace):
         self.n_regions = cfg.size // cfg.region_size
         self.cards_per_region = cfg.region_size // cfg.card_segment
         self.touched = bytearray(cards.n_cards)
+        # Card index -> the slots its last walk found holding H1 addresses.
+        self.remembered: dict[int, list[int]] = {}
 
         # Per-region metadata.
         self.alloc_offsets = [0] * self.n_regions
@@ -165,7 +177,8 @@ class H2Heap(HeapSpace):
         # Union-find over region indexes; singleton set == ungrouped region.
         self._group_parent = list(range(self.n_regions))
         self._group_size = [1] * self.n_regions
-        self._free: list[int] = list(range(self.n_regions))  # kept sorted
+        self._free: list[int] = list(range(self.n_regions))  # a min-heap
+        self._allocated: set[int] = set()  # regions bound to a partition
         self._open_region: dict[int, int] = {}  # partition id -> region index
 
     def close(self) -> None:
@@ -187,12 +200,13 @@ class H2Heap(HeapSpace):
         return self.region_start(idx) + self.alloc_offsets[idx]
 
     def allocated_regions(self) -> list[int]:
-        return [i for i in range(self.n_regions) if self.partition_ids[i] != UNASSIGNED]
+        return sorted(self._allocated)
 
     def _take_free_region(self, partition_id: int) -> int:
         if not self._free:
             raise RegionExhaustedError("no free H2 region")
-        idx = self._free.pop(0)
+        idx = heapq.heappop(self._free)
+        self._allocated.add(idx)
         self.partition_ids[idx] = partition_id
         self._open_region[partition_id] = idx
         return idx
@@ -242,6 +256,17 @@ class H2Heap(HeapSpace):
 
     # -- cards --------------------------------------------------------------
 
+    def mark_card(self, addr: int) -> int:
+        """Dirty the card of `addr` without touching it, and return its
+        index.  This is the barrier's path for a scalar store, which cannot
+        add an H1 reference."""
+        cards = self.cards.cards
+        idx = (addr - self.base) // self.cards.segment
+        if cards[idx] == CARD_CLEAN:
+            cards[idx] = CARD_DIRTY
+            self.counters["h2_cards_dirtied"] += 1
+        return idx
+
     def dirty_card(self, addr: int, size: int = 8) -> None:
         """Dirty the card of `addr` and touch every card that the `size`
         bytes at `addr` overlap.
@@ -250,15 +275,8 @@ class H2Heap(HeapSpace):
         walk covers a whole spilling object.  The default, one word, keeps
         the call card-level: only the card of `addr` is touched.
         """
-        # The card arithmetic is inline: this is the barrier's path.
-        table = self.cards
-        offset = addr - self.base
-        idx = offset // table.segment
-        cards = table.cards
-        if cards[idx] == CARD_CLEAN:
-            cards[idx] = CARD_DIRTY
-            self.counters["h2_cards_dirtied"] += 1
-        last = (offset + size - 1) // table.segment
+        idx = self.mark_card(addr)
+        last = (addr - self.base + size - 1) // self.cards.segment
         if last == idx:  # most objects fit one card
             self.touched[idx] = 1
         else:
@@ -273,18 +291,23 @@ class H2Heap(HeapSpace):
         every object overlapping its segment found no H1-targeting slot and
         the card is not a boundary card.
 
-        A visited card is walked only when it is touched; an untouched card
-        would yield no reference, so it is counted and cleaned as if walked.
-        A walk that finds no reference clears the card's `touched` byte.
-        Dirty boundary cards are thus visited on every collection but walked
-        only after something has written them.
+        A visited card is walked only when it is touched, and every walk
+        clears the card's `touched` byte.  The walk's H1-holding slots are
+        remembered for the card.  An untouched card re-reads only its
+        remembered slots, keeps and reports those still holding an H1
+        address, and is otherwise counted and cleaned as if walked.  Dirty
+        boundary cards are thus visited on every collection but walked only
+        after a reference store or an allocation has written them.
 
         Each walked card costs one `load_words` read of the words from its
         first-object entry to the end of its allocated part, and a second
         one, of exactly the missing tail, when the last object runs past
         that end.  Headers and reference slots are then indexed in the list.
+        An untouched card costs one `load_word` per remembered slot.
         """
-        load_words = self.load_words  # bound once: every payload read goes through it
+        # Bound once: every payload read goes through these two.
+        load_words = self.load_words
+        load_word = self.load_word
         lookup = self.registry.maybe_get
         # HeapLayout.is_h1, inlined: this test runs once per reference slot.
         layout = self.layout
@@ -298,6 +321,7 @@ class H2Heap(HeapSpace):
         base = self.base
         first_obj = self.first_obj
         touched = self.touched
+        remembered = self.remembered
         refs: list[tuple[int, int]] = []
         cards_scanned = 0
         bytes_walked = 0
@@ -317,30 +341,41 @@ class H2Heap(HeapSpace):
             walk_end = min(seg_start + segment, self.region_alloc_end(idx // per_region))
             if walk_end > seg_start:
                 bytes_walked += walk_end - seg_start
-            found = 0
             start = first_obj[idx]
-            if start and start < walk_end and touched[idx]:
-                # w[i] is the word at start + 8 * i; the walk ends at n.
-                w = load_words(start, walk_end)
-                n = len(w)
-                i = 0
-                while i < n:
-                    desc = lookup(w[i] >> 32)
-                    if desc is None:
-                        raise HeapCorruptionError(
-                            f"unparseable object header at {start + (i << 3):#x}"
-                        )
-                    end = i + (desc.instance_size >> 3)
-                    if end > n:  # the last object spills past walk_end
-                        w += load_words(walk_end, start + (end << 3))
-                    for r in desc.ref_words:
-                        value = w[i + r]
-                        if young_lo <= value < young_hi or old_lo <= value < old_hi:
-                            refs.append((start + ((i + r) << 3), value))
-                            found += 1
-                    i = end
-            if found == 0:
+            slots: list[int] = []  # this card's slots holding H1 addresses
+            if touched[idx]:
                 touched[idx] = 0
+                if start and start < walk_end:
+                    # w[i] is the word at start + 8 * i; the walk ends at n.
+                    w = load_words(start, walk_end)
+                    n = len(w)
+                    i = 0
+                    while i < n:
+                        desc = lookup(w[i] >> 32)
+                        if desc is None:
+                            raise HeapCorruptionError(
+                                f"unparseable object header at {start + (i << 3):#x}"
+                            )
+                        end = i + (desc.instance_size >> 3)
+                        if end > n:  # the last object spills past walk_end
+                            w += load_words(walk_end, start + (end << 3))
+                        for r in desc.ref_words:
+                            value = w[i + r]
+                            if young_lo <= value < young_hi or old_lo <= value < old_hi:
+                                slot = start + ((i + r) << 3)
+                                slots.append(slot)
+                                refs.append((slot, value))
+                        i = end
+            else:
+                for slot in remembered.get(idx, ()):
+                    value = load_word(slot)
+                    if young_lo <= value < young_hi or old_lo <= value < old_hi:
+                        slots.append(slot)
+                        refs.append((slot, value))
+            if slots:
+                remembered[idx] = slots
+            else:
+                remembered.pop(idx, None)
                 if 0 < idx - stripe * per < per - 1:  # not a boundary card
                     cards[idx] = CARD_CLEAN
             idx = cards.find(CARD_DIRTY, idx + 1)
@@ -354,7 +389,9 @@ class H2Heap(HeapSpace):
     # -- liveness: USED bits and region groups ------------------------------
 
     def begin_mark(self) -> None:
-        self.used_bits[:] = [False] * self.n_regions
+        used_bits = self.used_bits
+        for i in self._allocated:  # a free region's bit is unread until allocation sets it
+            used_bits[i] = False
 
     def set_used(self, region_index: int) -> None:
         self.used_bits[region_index] = True
@@ -392,25 +429,20 @@ class H2Heap(HeapSpace):
 
     def group_members(self, idx: int) -> list[int]:
         root = self.group_root(idx)
-        return [
-            i
-            for i in range(self.n_regions)
-            if self.partition_ids[i] != UNASSIGNED and self.group_root(i) == root
-        ]
+        return [i for i in sorted(self._allocated) if self.group_root(i) == root]
 
     def reclaim_free_regions(self) -> list[int]:
         """Free every group whose member regions all have USED clear.
 
         Freeing touches region metadata and cards only; the work is
-        proportional to region and card counts, never to object counts.
-        Cleaning a freed region's cards is the one place boundary cards
-        transition back to clean.
+        proportional to the allocated regions and the freed cards, never to
+        object counts or to the configured number of regions.  Cleaning a
+        freed region's cards is the one place boundary cards transition
+        back to clean.
         """
         groups: dict[int, list[int]] = {}
         group_used: dict[int, bool] = {}
-        for i in range(self.n_regions):
-            if self.partition_ids[i] == UNASSIGNED:
-                continue
+        for i in self._allocated:
             self.counters["reclaim_ops"] += 1
             root = self.group_root(i)
             groups.setdefault(root, []).append(i)
@@ -431,12 +463,14 @@ class H2Heap(HeapSpace):
                 card_lo = i * self.cards_per_region
                 card_hi = card_lo + self.cards_per_region
                 self.cards.cards[card_lo:card_hi] = bytes(self.cards_per_region)
+                self.touched[card_lo:card_hi] = bytes(self.cards_per_region)
                 self.first_obj[card_lo:card_hi] = [0] * self.cards_per_region
+                for c in range(card_lo, card_hi):
+                    self.remembered.pop(c, None)
                 self.counters["reclaim_ops"] += 3 + 2 * self.cards_per_region
+                self._allocated.discard(i)
+                heapq.heappush(self._free, i)
                 freed.append(i)
         freed.sort()
-        for i in freed:
-            self._free.append(i)
-        self._free.sort()
         self.counters["regions_freed"] += len(freed)
         return freed

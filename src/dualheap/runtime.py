@@ -21,9 +21,10 @@ The post-write barrier after every reference store performs one range
 classification and at most one card-byte store: writes into old-generation
 objects dirty the old-to-young card when the stored value is young, and
 writes into H2 objects dirty the H2 card unconditionally.  Scalar stores
-to H2 dirty the card as well (the barrier does not inspect the slot kind);
-the subsequent scan finds no backward reference there and cleans the card.
-An H2 store also sets the `touched` bytes of every card the object
+to H2 dirty the card as well (the barrier does not inspect the slot kind),
+but do not touch it (`H2Heap.mark_card`): a scalar cannot add a backward
+reference, so the next scan does not walk the card on its account.  An H2
+reference store also sets the `touched` bytes of every card the object
 overlaps (see `H2Heap.dirty_card`), from the instance size that the field
 check already resolved.
 
@@ -253,11 +254,11 @@ class Runtime:
             self.counters["barrier_h1_hits"] += 1
 
     def write_scalar(self, obj: int, index: int, value: int) -> None:
-        desc, fs = self._field(obj, index, FieldKind.SCALAR)
+        _, fs = self._field(obj, index, FieldKind.SCALAR)
         self.store_word(obj + fs.offset, value & 0xFFFFFFFFFFFFFFFF)
         self.counters["mutator_steps"] += 1
         if self.layout.is_h2(obj):
-            self.h2.dirty_card(obj, desc.instance_size)
+            self.h2.mark_card(obj)
             self.counters["barrier_h2_hits"] += 1
 
     def read_ref(self, obj: int, index: int) -> int | None:

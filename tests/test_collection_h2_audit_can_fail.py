@@ -29,7 +29,7 @@ def test_scan_read_outside_dirty_segments_fails_the_audit():
         size = desc.instance_size
         stray = next(a for a in objs if a >= h2.base + 2 * seg and a + size <= h2.base + 3 * seg)
         target = next(a for a in objs if a >= h2.base + 3 * seg)
-        rt.write_scalar(target, 1, 5)
+        rt.write_ref(target, 0, rt.read_ref(target, 0))  # a reference store walks card 3
         assert [i for i in range(4) if h2.cards.is_dirty(i)] == [0, 3]
         # The scan of card 3 now starts its walk at the stray object.
         h2.first_obj[3] = stray

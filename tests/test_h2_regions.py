@@ -4,7 +4,7 @@ import pytest
 
 from dualheap import RegionExhaustedError, Runtime, SpaceKind
 
-from conftest import KIB, MIB, make_config
+from conftest import KIB, MIB, build_chain, make_config, register_node_class
 
 
 def test_first_allocation_assigns_partition(rt):
@@ -169,3 +169,54 @@ def test_unreclaimed_partition_keeps_open_region(rt):
     # next allocation continues in the same region
     addr = rt.h2.allocate_in_region(1, 64)
     assert rt.h2.region_of(addr) == 0
+
+
+def test_freed_regions_are_taken_lowest_index_first(rt):
+    h2 = rt.h2
+    for pid in range(4):
+        h2.allocate_in_region(pid, 64)  # regions 0..3
+    h2.begin_mark()
+    h2.set_used(1)
+    h2.set_used(3)
+    assert h2.reclaim_free_regions() == [0, 2]
+    taken = [h2.region_of(h2.allocate_in_region(pid, 64)) for pid in (10, 11, 12)]
+    assert taken == [0, 2, 4]
+
+
+class _WriteRecordingList(list):
+    """Records the indexes stored to."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.writes = []
+
+    def __setitem__(self, idx, value):
+        self.writes.append(idx)
+        super().__setitem__(idx, value)
+
+
+def test_empty_major_visits_only_allocated_regions():
+    """On 65,536 regions with two allocated, a major with nothing to move
+    sets USED bits and visits groups for those two only, so its region
+    work does not grow with the configured region count."""
+    cfg = make_config(h2_size=128 * MIB, region=2 * KIB, h2_card=1 * KIB, stripe=2 * KIB)
+    with Runtime(cfg) as rt:
+        h2 = rt.h2
+        assert h2.n_regions == 65536
+        desc = register_node_class(rt)
+        for pid in (1, 2):
+            slot = build_chain(rt, desc, 3)
+            rt.persist(rt.read_root(slot), pid)
+        rt.major_collect()
+        allocated = h2.allocated_regions()
+        assert len(allocated) == 2
+        h2.used_bits = _WriteRecordingList(h2.used_bits)
+        visited = []
+        group_root = h2.group_root
+        h2.group_root = lambda idx: visited.append(idx) or group_root(idx)
+        ops = rt.counters["reclaim_ops"]
+        rt.major_collect()
+        assert h2.used_bits.writes and set(h2.used_bits.writes) == set(allocated)
+        assert visited and set(visited) == set(allocated)
+        assert h2.allocated_regions() == allocated
+        assert rt.counters["reclaim_ops"] - ops == 2

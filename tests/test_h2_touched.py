@@ -1,6 +1,7 @@
-"""H2 `touched` bytes: a dirty card is walked only if written since its last
-clean walk, and the scan still returns what a full walk of every visited
-card returns.
+"""H2 `touched` bytes and remembered slots: a dirty card is walked only if
+a reference store or an allocation has written it since its last walk,
+otherwise only the slots that walk found are re-read, and the scan still
+returns what a full walk of every visited card returns.
 
 Every scan in these tests is checked against `reference_scan`, the per-card
 loop that walks every visited card, run on a copy of the card bytes.
@@ -31,6 +32,10 @@ def check_scans_against_oracle(rt):
         assert refs == want_refs
         assert scanned == len(want_visited)
         assert h2.cards.cards == expected_cards
+        allocated = set(h2.allocated_regions())
+        for idx, slots in h2.remembered.items():
+            assert slots and h2.cards.is_dirty(idx)
+            assert h2.region_of(h2.base + idx * h2.cards.segment) in allocated
         checked.append((refs, scanned))
         return refs, scanned
 
@@ -168,7 +173,9 @@ def _criterion6_heap(rt):
     """A migrated chain at 4 KiB cards and 8 KiB stripes, where every H2
     card is a boundary card and so stays dirty; no backward references."""
     desc = register_node_class(rt, refs=1, scalars=2)  # 40 bytes
-    big = rt.register_class([FieldSpec(16 + 8 * i, FieldKind.SCALAR) for i in range(700)])
+    big = rt.register_class(  # 5,616 bytes; its one reference field stays null
+        [FieldSpec(16 + 8 * i, FieldKind.SCALAR if i else FieldKind.REF) for i in range(700)]
+    )
     slot = build_chain(rt, desc, 250)
     obj = rt.allocate(big)
     rt.add_root(obj)
@@ -222,23 +229,44 @@ def test_second_minor_without_h2_store_reads_no_h2_words():
         assert rt.counters["h2_cards_scanned"] - scanned_before == first.h2_cards_scanned
 
 
+def _spanning_object(rt, big):
+    """After one minor over the criterion-6 heap, an H2 object (a big one,
+    or a 40-byte node) spanning two or more dirty cards."""
+    _criterion6_heap(rt)
+    rt.minor_collect()
+    size = 5616 if big else 40
+    obj = next(
+        a for a in sorted(rt.iter_h2_objects())
+        if rt.descriptor_of(a).instance_size == size and len(spans_cards(rt, a)) > 1
+    )
+    assert all(rt.h2.cards.is_dirty(c) for c in spans_cards(rt, obj))
+    return obj
+
+
 @pytest.mark.parametrize("big", [False, True])
-def test_minor_after_h2_scalar_store_walks_exactly_that_objects_cards(big):
+def test_minor_after_h2_ref_store_walks_exactly_that_objects_cards(big):
     with Runtime(_criterion6_config()) as rt:
-        _criterion6_heap(rt)
+        obj = _spanning_object(rt, big)
+        index = rt.descriptor_of(obj).ref_indexes[0]
+        rt.write_ref(obj, index, rt.read_ref(obj, index))
+        calls = _count_bulk_reads(rt.h2)
         rt.minor_collect()
-        h2 = rt.h2
-        objs = sorted(rt.iter_h2_objects())
-        size = 5616 if big else 40
-        obj = next(
-            a for a in objs
-            if rt.descriptor_of(a).instance_size == size and len(spans_cards(rt, a)) > 1
-        )
-        assert all(h2.cards.is_dirty(c) for c in spans_cards(rt, obj))
+        assert _walked_cards(rt.h2, calls) == spans_cards(rt, obj)
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_minor_after_h2_scalar_store_walks_no_card(big):
+    """A scalar store dirties the object's card but touches none: it cannot
+    add a backward reference, so the next minor reads no H2 word."""
+    with Runtime(_criterion6_config()) as rt:
+        obj = _spanning_object(rt, big)
+        dirtied = rt.counters["h2_cards_dirtied"]
         rt.write_scalar(obj, rt.descriptor_of(obj).scalar_indexes[-1], 7)
-        calls = _count_bulk_reads(h2)
+        assert rt.counters["h2_cards_dirtied"] == dirtied  # the card was dirty already
+        assert not any(rt.h2.touched[c] for c in spans_cards(rt, obj))
+        calls = _count_bulk_reads(rt.h2)
         rt.minor_collect()
-        assert _walked_cards(h2, calls) == spans_cards(rt, obj)
+        assert calls == []
 
 
 def test_card_level_dirty_rewalks_its_card():
@@ -257,3 +285,145 @@ def test_card_level_dirty_rewalks_its_card():
         check_scans_against_oracle(rt)
         refs, _ = scan_all(rt)
         assert refs == [(obj + 16, young)]
+
+
+# -- remembered slots ----------------------------------------------------------------
+
+
+def _backward_heap(rt, n_refs=6):
+    """A migrated chain of nodes whose transient field (index 1) holds a
+    rooted young object in `n_refs` of them, after one minor has walked
+    their cards.  Returns the node class and the H2 objects holding
+    references, each with the root slot of its target."""
+    desc = register_node_class(rt, refs=2, scalars=1, transient=(1,))  # 40 bytes
+    slot = build_chain(rt, desc, 300)
+    rt.persist(rt.read_root(slot), 1)
+    rt.major_collect()
+    objs = sorted(rt.iter_h2_objects())
+    holders = []
+    for obj in Random(3).sample(objs, n_refs):
+        young = rt.allocate(desc)
+        holders.append((obj, rt.add_root(young)))
+        rt.write_ref(obj, 1, young)
+    rt.minor_collect()
+    return desc, holders
+
+
+def _card_of(h2, addr):
+    return (addr - h2.base) // h2.cards.segment
+
+
+def test_minor_after_scalar_round_reads_only_remembered_slots():
+    """After a round of scalar stores into every H2 object, a minor makes
+    no bulk read, one `load_word` per remembered slot, no `rt.load_word`
+    of an H2 slot, and reports what a walk of every visited card reports."""
+    with Runtime(_criterion6_config()) as rt:
+        desc, holders = _backward_heap(rt)
+        h2 = rt.h2
+        for obj in sorted(rt.iter_h2_objects()):
+            rt.write_scalar(obj, desc.scalar_indexes[0], 11)
+        want = []
+        for tid in range(rt.config.h2.scan_threads):
+            want += reference_scan(h2, tid, bytearray(h2.cards.cards))[0]
+        assert len(want) >= len(holders)
+        n_slots = sum(len(slots) for slots in h2.remembered.values())
+        bulk = _count_bulk_reads(h2)
+        slot_reads = []
+        load_word = h2.load_word
+        h2.load_word = lambda addr: slot_reads.append(addr) or load_word(addr)
+        rt_h2_reads = []
+        rt_load_word = rt.load_word
+
+        def rt_load(addr):
+            if rt.layout.is_h2(addr):
+                rt_h2_reads.append(addr)
+            return rt_load_word(addr)
+
+        rt.load_word = rt_load
+        rt.minor_collect()
+        assert bulk == []
+        assert len(slot_reads) == n_slots
+        assert rt.backward_stack == want
+        assert rt_h2_reads == []
+
+
+def test_slot_stays_remembered_with_its_moved_young_target():
+    with Runtime(_criterion6_config()) as rt:
+        _, holders = _backward_heap(rt, n_refs=1)
+        h2 = rt.h2
+        (obj, target_slot), = holders
+        slot = obj + 24
+        young = rt.read_root(target_slot)
+        assert slot in h2.remembered[_card_of(h2, obj)]
+        check_scans_against_oracle(rt)
+        rt.minor_collect()  # copies the target again
+        moved = rt.read_root(target_slot)
+        assert moved != young and rt.layout.is_h1(moved)
+        assert h2.load_word(slot) == moved
+        assert slot in h2.remembered[_card_of(h2, obj)]
+        assert (slot, moved) in scan_all(rt)[0]
+
+
+@pytest.mark.parametrize("boundary", [False, True])
+def test_slot_whose_target_a_major_migrates_is_dropped(boundary):
+    """The adjust phase rewrites a remembered slot to its target's new H2
+    address; the next minor drops the slot and forgets the card, and cleans
+    it unless it is a boundary card."""
+    cfg = make_config(h2_size=1024 * KIB, region=32 * KIB, h2_card=4 * KIB, stripe=16 * KIB)
+    with Runtime(cfg) as rt:
+        h2 = rt.h2
+        desc = register_node_class(rt, refs=2, scalars=1, transient=(1,))
+        slot = build_chain(rt, desc, 300)
+        rt.persist(rt.read_root(slot), 1)
+        rt.major_collect()
+        rt.minor_collect()  # the migration's cards are walked clean
+        obj = next(
+            a for a in sorted(rt.iter_h2_objects())
+            if len(spans_cards(rt, a)) == 1 and h2.cards.is_boundary(_card_of(h2, a)) == boundary
+        )
+        card = _card_of(h2, obj)
+        target = rt.allocate(desc)
+        target_slot = rt.add_root(target)
+        rt.write_ref(obj, 1, target)
+        rt.minor_collect()
+        assert h2.remembered[card] == [obj + 24]
+        rt.persist(rt.read_root(target_slot), 2)
+        rt.major_collect()
+        moved = rt.read_root(target_slot)
+        assert rt.layout.is_h2(moved) and h2.load_word(obj + 24) == moved
+        assert not h2.touched[card]
+        check_scans_against_oracle(rt)
+        rt.minor_collect()
+        assert card not in h2.remembered
+        assert h2.cards.is_dirty(card) == boundary
+
+
+def test_freed_region_keeps_no_remembered_slot_or_touched_byte():
+    cfg = make_config(h2_size=1024 * KIB, region=32 * KIB, h2_card=4 * KIB, stripe=16 * KIB)
+    with Runtime(cfg) as rt:
+        h2 = rt.h2
+        node = register_node_class(rt, refs=1, scalars=1)
+        # 9,616 bytes: a card wholly inside it holds no header, so no walk
+        # visits it and its `touched` byte stays set from the allocation.
+        big = rt.register_class(
+            [FieldSpec(16, FieldKind.REF, transient=True)]
+            + [FieldSpec(24 + 8 * i, FieldKind.SCALAR) for i in range(1199)]
+        )
+        obj = rt.allocate(big)
+        obj_slot = rt.add_root(obj)
+        rt.persist(obj, 5)
+        rt.major_collect()
+        obj = rt.read_root(obj_slot)
+        young = rt.allocate(node)
+        rt.add_root(young)
+        rt.write_ref(obj, 0, young)
+        rt.minor_collect()
+        region = h2.region_of(obj)
+        cards = range(region * h2.cards_per_region, (region + 1) * h2.cards_per_region)
+        assert h2.remembered[_card_of(h2, obj)] == [obj + 16]
+        assert any(h2.touched[c] for c in cards)
+        rt.unpersist(5)
+        stats = rt.major_collect()
+        assert region in stats.regions_freed
+        assert not any(c in h2.remembered for c in cards)
+        assert not any(h2.touched[c] for c in cards)
