@@ -11,11 +11,17 @@ that heap's word view (its buffer cast to unsigned 64-bit words) at the word
 offset from the heap base, so H1 and H2 objects share one code path and no
 lookup or translation step.  Heap addresses of words are 8-byte aligned.
 
-Per-word access (`load_word`, `store_word`, `descriptor_of`) serves the
-mutator API.  Object walkers (the driver's traversal, the serializer, the
-collections and closure marking) read whole object images instead:
-`object_words` returns an object's descriptor and all its words from one
-native read, and they index that list.
+The mutator API (`read_ref`, `write_ref`, `read_scalar`, `write_scalar`)
+resolves a handle once: one range test gives the heap's word view, the
+field's index in it, the descriptor and the space, and the access then
+indexes the view.  The trace driver's traversal (`closure`) reads each
+object in place from the word views in the same way, with no per-object
+call or copy.  The other object walkers (the serializer, the collections
+and closure marking) read whole object images: `object_words` returns an
+object's descriptor and all its words from one native read, and they
+index that list.  Per-word access (`load_word`, `store_word`,
+`descriptor_of`) serves single slots and header words: the collections'
+slot fixes and the cache marks.
 
 The post-write barrier after every reference store performs one range
 classification and at most one card-byte store: writes into old-generation
@@ -68,6 +74,11 @@ from .objmodel import (
 
 H1_BASE = 1 << 16
 _MIB = 1 << 20
+
+# Enum members bound once: on Python 3.11 each `SpaceKind.H2`-style class
+# attribute lookup costs about as much as the rest of a field's resolution.
+_REF, _SCALAR = FieldKind.REF, FieldKind.SCALAR
+_YOUNG, _OLD, _H2 = SpaceKind.H1_YOUNG, SpaceKind.H1_OLD, SpaceKind.H2
 
 
 def build_layout(cfg: RuntimeConfig) -> HeapLayout:
@@ -221,56 +232,130 @@ class Runtime:
 
     def _field(
         self, obj: int, index: int, kind: FieldKind
-    ) -> tuple[ClassDescriptor, FieldSpec]:
+    ) -> tuple[memoryview, int, ClassDescriptor, SpaceKind]:
+        """Resolve field `index` of `obj` with one range test: the word view
+        of the heap holding `obj`, the field's index in it, the descriptor
+        and the space.  A field past the end of its heap indexes past the
+        end of the view; the accessors report it as `_past_end` does."""
         if not obj:
             raise InvalidHandleError("null handle")
         self._check_aligned(obj)
-        try:
-            desc = self.descriptor_of(obj)
-        except HeapCorruptionError:
-            raise InvalidHandleError(f"handle {obj:#x} has no parseable object header") from None
+        layout = self.layout
+        if layout.young_base <= obj < layout.old_end:
+            words = self.h1.words
+            i = (obj - layout.young_base) >> 3
+            space = _OLD if obj >= layout.old_base else _YOUNG
+        elif layout.h2_base <= obj < layout.h2_end:
+            words = self.h2.words
+            i = (obj - layout.h2_base) >> 3
+            space = _H2
+        else:
+            raise InvalidHandleError(f"address {obj:#x} outside all heap spaces")
+        desc = self.registry.maybe_get(words[i] >> 32)
+        if desc is None:
+            raise InvalidHandleError(f"handle {obj:#x} has no parseable object header")
         if index < 0 or index >= len(desc.fields):
             raise InvalidFieldError(f"field index {index} out of range")
         fs = desc.fields[index]
         if fs.kind is not kind:
             raise InvalidFieldError(f"field {index} is {fs.kind.value}, expected {kind.value}")
-        return desc, fs
+        return words, i + (fs.offset >> 3), desc, space
+
+    @staticmethod
+    def _past_end(obj: int, desc: ClassDescriptor, index: int) -> InvalidHandleError:
+        # A field past the end of H1 lies in the gap before H2, and one past
+        # the end of H2 lies above it: the field's address is in no heap.
+        return InvalidHandleError(
+            f"address {obj + desc.fields[index].offset:#x} outside all heap spaces"
+        )
 
     def write_ref(self, obj: int, index: int, target: int | None) -> None:
-        desc, fs = self._field(obj, index, FieldKind.REF)
+        words, i, desc, space = self._field(obj, index, _REF)
         value = target or 0
         if value:
             self.layout.classify(value)  # reject bogus targets early
             self._check_aligned(value)
-        self.store_word(obj + fs.offset, value)
+        try:
+            words[i] = value
+        except IndexError:
+            raise self._past_end(obj, desc, index) from None
         self.counters["mutator_steps"] += 1
-        space = self.layout.classify(obj)
-        if space is SpaceKind.H2:
+        if space is _H2:
             self.h2.dirty_card(obj, desc.instance_size)
             self.counters["barrier_h2_hits"] += 1
             self.h2.note_reference(obj, value)
-        elif space is SpaceKind.H1_OLD and value and self.layout.is_young(value):
+        elif space is _OLD and value and self.layout.is_young(value):
             self.h1.cards.dirty(obj)
             self.counters["barrier_h1_hits"] += 1
 
     def write_scalar(self, obj: int, index: int, value: int) -> None:
-        _, fs = self._field(obj, index, FieldKind.SCALAR)
-        self.store_word(obj + fs.offset, value & 0xFFFFFFFFFFFFFFFF)
+        words, i, desc, space = self._field(obj, index, _SCALAR)
+        try:
+            words[i] = value & 0xFFFFFFFFFFFFFFFF
+        except IndexError:
+            raise self._past_end(obj, desc, index) from None
         self.counters["mutator_steps"] += 1
-        if self.layout.is_h2(obj):
+        if space is _H2:
             self.h2.mark_card(obj)
             self.counters["barrier_h2_hits"] += 1
 
     def read_ref(self, obj: int, index: int) -> int | None:
-        _, fs = self._field(obj, index, FieldKind.REF)
+        words, i, desc, _ = self._field(obj, index, _REF)
         self.counters["mutator_steps"] += 1
-        value = self.load_word(obj + fs.offset)
-        return value or None
+        try:
+            return words[i] or None
+        except IndexError:
+            raise self._past_end(obj, desc, index) from None
 
     def read_scalar(self, obj: int, index: int) -> int:
-        _, fs = self._field(obj, index, FieldKind.SCALAR)
+        words, i, desc, _ = self._field(obj, index, _SCALAR)
         self.counters["mutator_steps"] += 1
-        return self.load_word(obj + fs.offset)
+        try:
+            return words[i]
+        except IndexError:
+            raise self._past_end(obj, desc, index) from None
+
+    # ------------------------------------------------------------------
+    # the closure walk of the trace driver
+
+    def closure(self, root: int) -> tuple[list[int], list[ClassDescriptor], int]:
+        """The objects reachable from `root` over non-transient references,
+        breadth-first in field order, with the descriptor of each and the
+        sum of all their scalar words (not masked).
+
+        Each object is read in place from its heap's word view: one range
+        test and one header parse per object, and no image copy.
+        """
+        layout = self.layout
+        h1_base, h1_end = layout.young_base, layout.old_end
+        h2_base, h2_end = layout.h2_base, layout.h2_end
+        h1_words, h2_words = self.h1.words, self.h2.words
+        maybe_get = self.registry.maybe_get
+        seen = {root}
+        order = [root]
+        descs: list[ClassDescriptor] = []
+        total = 0
+        for addr in order:  # order grows while it is walked
+            if h1_base <= addr < h1_end:
+                words = h1_words
+                i = (addr - h1_base) >> 3
+            elif h2_base <= addr < h2_end:
+                words = h2_words
+                i = (addr - h2_base) >> 3
+            else:
+                raise InvalidHandleError(f"address {addr:#x} outside all heap spaces")
+            desc = maybe_get(words[i] >> 32)
+            if desc is None:
+                raise HeapCorruptionError(f"unparseable object header at {addr:#x}")
+            descs.append(desc)
+            for k in desc.scalar_words:
+                total += words[i + k]
+            for k in desc.closure_words:
+                target = words[i + k]
+                if target and target not in seen:
+                    seen.add(target)
+                    order.append(target)
+        return order, descs, total
 
     # ------------------------------------------------------------------
     # roots

@@ -34,6 +34,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from random import Random
+from typing import NamedTuple
 
 from .config import RuntimeConfig
 from .errors import HeapError, TraceError
@@ -66,8 +67,7 @@ def derive_seed(*parts) -> int:
 # trace events
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     op: str
     args: dict
     index: int = 0
@@ -92,34 +92,38 @@ _EVENT_ARGS = {
 
 _OPTIONAL_ARGS = {"access": {"seed"}}
 
+_REQUIRED_ARGS = {op: set(spec) - _OPTIONAL_ARGS.get(op, set()) for op, spec in _EVENT_ARGS.items()}
+
 
 def parse_trace(text: str) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         op = parts[0]
-        if op not in _EVENT_ARGS:
+        spec = _EVENT_ARGS.get(op)
+        if spec is None:
             raise TraceError(f"event {lineno}: unknown op {op!r}")
-        spec = _EVENT_ARGS[op]
-        optional = _OPTIONAL_ARGS.get(op, set())
         args = {}
         for token in parts[1:]:
-            if "=" not in token:
+            key, eq, value = token.partition("=")
+            if not eq:
                 raise TraceError(f"event {lineno}: malformed token {token!r}")
-            key, value = token.split("=", 1)
-            if key not in spec:
+            convert = spec.get(key)
+            if convert is None:
                 raise TraceError(f"event {lineno}: unknown key {key!r} for {op}")
             try:
-                args[key] = spec[key](value)
+                args[key] = convert(value)
             except ValueError:
                 raise TraceError(f"event {lineno}: bad value {value!r} for {key}") from None
-        missing = set(spec) - set(args) - optional
-        if missing:
-            raise TraceError(f"event {lineno}: {op} missing {sorted(missing)}")
-        events.append(TraceEvent(op=op, args=args, index=lineno))
+        if len(args) < len(spec):  # every key of args is one of spec's
+            missing = _REQUIRED_ARGS[op] - args.keys()
+            if missing:
+                raise TraceError(f"event {lineno}: {op} missing {sorted(missing)}")
+        events.append(TraceEvent(op, args, lineno))
     return events
 
 
@@ -480,18 +484,19 @@ class TraceDriver:
         variants = self._variants(a["family"], a["fanout"], a["tfrac"])
         rng = Random(derive_seed("build", pid, a["seed"]))
         roster = RootedHandles(self.rt)
+        descs = []
         footprint = 0
         for i in range(a["count"]):
             desc = variants[rng.randrange(len(variants))]
             handle = self.rt.allocate(desc)
             roster.append(handle)
+            descs.append(desc)
             footprint += desc.instance_size
             for k, si in enumerate(desc.scalar_indexes):
                 self.rt.write_scalar(handle, si, seed_of(f"tag:{pid}:{i}:{k}"))
         count = a["count"]
-        for i in range(count):
+        for i, desc in enumerate(descs):
             obj = roster.get(i)
-            desc = self.rt.descriptor_of(obj)
             for j, fi in enumerate(desc.ref_indexes):
                 if j == 0 and i + 1 < count:
                     target_index = i + 1  # spine keeps the graph connected
@@ -570,25 +575,14 @@ class TraceDriver:
 
     # -- access / mutate ----------------------------------------------------
 
-    def _traverse(self, part: _Partition) -> tuple[list[int], int]:
-        """Objects reachable over non-transient references, in a
-        deterministic breadth-first order, with their scalar checksum."""
-        object_words = self.rt.object_words
-        root = self._root_of(part)
-        seen = {root}
-        order = [root]
-        checksum = 0  # the scalar sum, masked to 64 bits once at the end
-        for addr in order:  # order grows while it is walked
-            desc, w = object_words(addr)
-            for k in desc.scalar_words:
-                checksum += w[k]
-            for k in desc.closure_words:
-                target = w[k]
-                if target and target not in seen:
-                    seen.add(target)
-                    order.append(target)
-        checksum = ((checksum & _MASK64) * 0x100000001B3 + len(order)) & _MASK64
-        return order, checksum
+    def _traverse(self, part: _Partition) -> tuple[list[int], list, int]:
+        """The partition's objects in `Runtime.closure` order (breadth-first
+        over non-transient references), their descriptors, and the
+        checksum: the scalar sum masked to 64 bits, mixed with the object
+        count."""
+        order, descs, total = self.rt.closure(self._root_of(part))
+        checksum = ((total & _MASK64) * 0x100000001B3 + len(order)) & _MASK64
+        return order, descs, checksum
 
     def _object_checksum(self, addr: int) -> int:
         return sum(self.rt.scalar_values(addr)) & _MASK64
@@ -600,7 +594,7 @@ class TraceDriver:
             raise self._fail(evt, f"unknown access kind {kind!r}")
         if self.mode == "SD":
             self._sd_ensure_resident(part)
-        order, checksum = self._traverse(part)
+        order, _, checksum = self._traverse(part)
         if kind == "point":
             rng = Random(derive_seed("point", part.pid, evt.args.get("seed", 0)))
             checksum = self._object_checksum(order[rng.randrange(len(order))])
@@ -610,14 +604,14 @@ class TraceDriver:
         part = self._partition(evt, evt.args["part"])
         if self.mode == "SD":
             self._sd_ensure_resident(part)
-        order, _ = self._traverse(part)
+        order, descs, _ = self._traverse(part)
         seed = evt.args["seed"]
         rng = Random(derive_seed("mutate", part.pid, seed))
         rt = self.rt
         for k in range(evt.args["count"]):
-            addr = order[rng.randrange(len(order))]
-            desc, _ = rt.object_words(addr)
-            index = desc.scalar_indexes[-1]
+            j = rng.randrange(len(order))
+            addr = order[j]
+            index = descs[j].scalar_indexes[-1]
             value = rt.read_scalar(addr, index)
             delta = seed_of(f"delta:{seed}:{k}")
             rt.write_scalar(addr, index, (value + delta) & _MASK64)

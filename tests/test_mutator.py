@@ -12,6 +12,7 @@ from dualheap import (
     Runtime,
     SpaceKind,
 )
+from dualheap.objmodel import class_age_word
 
 from conftest import build_chain, make_config, register_node_class
 from heap_oracle import reachable_addrs
@@ -261,3 +262,59 @@ def test_barrier_completeness_under_replay(rt):
         mutated.add(obj)
     dirty = {i for i in range(rt.h2.cards.n_cards) if rt.h2.cards.is_dirty(i)}
     assert {rt.h2.cards.index_of(o) for o in mutated} <= dirty
+
+
+# -- fields past the end of a heap -------------------------------------------------
+
+
+def _header_at_last_word(rt, desc, heap):
+    """A parseable header in the last word of the old generation or of H2,
+    so every field of the object lies past the end of that heap."""
+    layout = rt.layout
+    end = layout.old_end if heap == "h1" else layout.h2_end
+    obj = end - 8
+    getattr(rt, heap).store_word(obj, class_age_word(desc.class_id, 0))
+    return obj
+
+
+@pytest.mark.parametrize("heap", ["h1", "h2"])
+def test_field_past_heap_end_is_outside_all_heap_spaces(rt, heap):
+    desc = register_node_class(rt, refs=1, scalars=1)
+    obj = _header_at_last_word(rt, desc, heap)
+    assert rt.descriptor_of(obj) is desc
+    ref_at, scalar_at = obj + 16, obj + 24
+    for call, addr in [
+        (lambda: rt.read_ref(obj, 0), ref_at),
+        (lambda: rt.write_ref(obj, 0, None), ref_at),
+        (lambda: rt.read_scalar(obj, 1), scalar_at),
+        (lambda: rt.write_scalar(obj, 1, 5), scalar_at),
+    ]:
+        with pytest.raises(InvalidHandleError) as info:
+            call()
+        assert str(info.value) == f"address {addr:#x} outside all heap spaces"
+
+
+# -- one resolution per field access -----------------------------------------------
+
+
+def test_field_access_resolves_the_handle_once(rt, monkeypatch):
+    """The accessors index the heap's word view directly: no per-word
+    load/store and no descriptor lookup after the field is resolved."""
+    desc = register_node_class(rt, refs=1, scalars=1)
+    _slot, old = _old_object(rt, desc)
+    _slot2, cached = _h2_object(rt, desc)
+    young = rt.allocate(desc)
+    calls = []
+    for name in ("load_word", "store_word", "descriptor_of"):
+        method = getattr(Runtime, name)
+        monkeypatch.setattr(
+            Runtime, name, lambda self, *a, _m=method, _n=name: calls.append(_n) or _m(self, *a)
+        )
+    for obj in (young, old, cached):
+        rt.write_scalar(obj, 1, 7)
+        assert rt.read_scalar(obj, 1) == 7
+        rt.write_ref(obj, 0, young)
+        assert rt.read_ref(obj, 0) == young
+    assert calls == []
+    assert rt.load_word(cached + 24) == 7  # the wrappers do count
+    assert calls == ["load_word"]
