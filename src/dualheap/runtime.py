@@ -23,6 +23,12 @@ index that list.  Per-word access (`load_word`, `store_word`,
 `descriptor_of`) serves single slots and header words: the collections'
 slot fixes and the cache marks.
 
+Roots are numbered slots (`add_root`) plus one pinned list:
+`allocate_many` allocates a graph's objects one by one and keeps the
+addresses allocated so far in that list, which `root_values` yields after
+every slot and `rewrite_roots` rewrites, so a collection that an
+allocation triggers moves them like any other root.
+
 The post-write barrier after every reference store performs one range
 classification and at most one card-byte store: writes into old-generation
 objects dirty the old-to-young card when the stored value is young, and
@@ -118,6 +124,8 @@ class Runtime:
         self._roots: dict[int, int] = {}
         self._root_tags: dict[int, int] = {}
         self._next_slot = 1
+        # The addresses `allocate_many` has allocated so far, while it runs.
+        self._pinned: list[int] = []
 
         self.hints = HintRegistry()
         self.backward_stack: list[tuple[int, int]] = []
@@ -220,6 +228,20 @@ class Runtime:
         self.counters["alloc_bytes"] += size
         self.counters["mutator_steps"] += 1
         return addr
+
+    def allocate_many(self, descs) -> list[int]:
+        """Allocate one object per descriptor, in order, through `allocate`,
+        and return their addresses.  Until it returns, the addresses
+        allocated so far are roots (the pinned list), so the returned ones
+        are current after any collection an allocation ran.  Not
+        reentrant."""
+        self._pinned = addrs = []
+        try:
+            for desc in descs:
+                addrs.append(self.allocate(desc))
+        finally:
+            self._pinned = []
+        return addrs
 
     # ------------------------------------------------------------------
     # field access with the post-write barrier
@@ -382,12 +404,13 @@ class Runtime:
         self._root_tags.pop(slot_id, None)
 
     def root_values(self):
-        return list(self._roots.values())
+        return [*self._roots.values(), *self._pinned]
 
     def rewrite_roots(self, forwarded: dict[int, int]) -> None:
         for slot_id, value in self._roots.items():
             if value in forwarded:
                 self._roots[slot_id] = forwarded[value]
+        self._pinned[:] = [forwarded.get(value, value) for value in self._pinned]
 
     def tag_root_slots(self, handle: int, partition_id: int) -> None:
         for slot_id, value in self._roots.items():

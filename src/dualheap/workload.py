@@ -275,14 +275,8 @@ class BaselineSerializer:
         return _U64.pack(len(body)) + body
 
     def deserialize(self, blob: bytes) -> tuple[int, int]:
-        """Rebuild the graph; returns (root handle, total instance bytes).
-
-        Every object is allocated first, through root slots, since an
-        allocation may collect.  After the last one nothing moves, so each
-        object's fields are then stored as one image from word 2 on (the
-        header words keep what allocation and collections set), with the
-        post-write barrier applied per reference word.
-        """
+        """Rebuild the graph through `install`; returns (root handle, total
+        instance bytes)."""
         rt = self.rt
         (length,) = _U64.unpack_from(blob, 0)
         if length != len(blob) - 8:
@@ -291,74 +285,59 @@ class BaselineSerializer:
         (count,) = _U64.unpack_from(blob, pos)
         pos += 8
         records: list[tuple] = []
+        total = 0
         for _ in range(count):
             (class_id,) = _U32.unpack_from(blob, pos)
             desc = rt.registry.get(class_id)
             record, fields = self._record(desc)
             values = record.unpack_from(blob, pos)
             pos += record.size
-            records.append((desc, fields, values))
-        roster = RootedHandles(rt)
-        total = 0
-        for desc, _fields, _values in records:
-            roster.append(rt.allocate(desc))
-            total += desc.instance_size
-        addrs = [roster.get(i) for i in range(count)]
-        root = addrs[0]
-        roster.release()
-
-        h1 = rt.h1
-        layout = rt.layout
-        young_lo, young_hi = layout.young_base, layout.young_end
-        old_lo, old_hi = layout.old_base, layout.old_end
-        steps = hits = 0
-        for obj, (desc, fields, values) in zip(addrs, records):
-            if not young_lo <= obj < old_hi:
-                raise HeapError(f"rebuilt object {obj:#x} lies outside H1")
-            is_old = obj >= old_lo
             w = [0] * ((desc.instance_size - HEADER_SIZE) >> 3)  # the words after the header
-            for (k, is_ref), value in zip(fields, values[1:]):
-                if is_ref:
-                    if not value:
-                        continue
-                    value = addrs[value - 1]
-                    if is_old and young_lo <= value < young_hi:
-                        h1.cards.dirty(obj)
-                        hits += 1
+            for (k, _is_ref), value in zip(fields, values[1:]):
                 w[k - 2] = value
-                steps += 1
-            h1.store_words(obj + HEADER_SIZE, w)
-        counters = rt.counters
-        counters["mutator_steps"] += steps
-        if hits:
-            counters["barrier_h1_hits"] += hits
-        return root, total
+            records.append((desc, w))
+            total += desc.instance_size
+        return install(rt, records)[0], total
 
 
-class RootedHandles:
-    """A growable list of handles that survives collections.
+def install(rt: Runtime, records: list[tuple]) -> list[int]:
+    """Allocate and wire a graph; returns the objects' addresses.
 
-    Every element is parked in a root slot, so allocation between appends
-    may move objects freely; get() always returns the current address.
+    One record per object: its descriptor and the words after its header,
+    where a reference is the 1-based number of its target's record (0 for
+    null); the reference words are rewritten in place.  Every object is
+    allocated first, through `Runtime.allocate_many`, since an allocation
+    may collect.  After the last one nothing moves, so each object's words
+    are then stored as one image (the header words keep what allocation
+    and collections set), with the post-write barrier applied per
+    reference word, and a mutator step counted per scalar and per
+    non-null reference, as `write_scalar`/`write_ref` would.
     """
-
-    def __init__(self, rt: Runtime) -> None:
-        self.rt = rt
-        self._slots: list[int] = []
-
-    def append(self, handle: int) -> None:
-        self._slots.append(self.rt.add_root(handle))
-
-    def get(self, index: int) -> int:
-        return self.rt.read_root(self._slots[index])
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def release(self) -> None:
-        for slot in self._slots:
-            self.rt.drop_root(slot)
-        self._slots.clear()
+    addrs = rt.allocate_many([desc for desc, _w in records])
+    h1 = rt.h1
+    layout = rt.layout
+    young_lo, young_hi = layout.young_base, layout.young_end
+    old_lo, old_hi = layout.old_base, layout.old_end
+    steps = hits = 0
+    for obj, (desc, w) in zip(addrs, records):
+        if not young_lo <= obj < old_hi:
+            raise HeapError(f"installed object {obj:#x} lies outside H1")
+        is_old = obj >= old_lo
+        for k in desc.ref_words:
+            value = w[k - 2]
+            if value:
+                w[k - 2] = value = addrs[value - 1]
+                if is_old and young_lo <= value < young_hi:
+                    h1.cards.dirty(obj)
+                    hits += 1
+                steps += 1
+        steps += len(desc.scalar_words)
+        h1.store_words(obj + HEADER_SIZE, w)
+    counters = rt.counters
+    counters["mutator_steps"] += steps
+    if hits:
+        counters["barrier_h1_hits"] += hits
+    return addrs
 
 
 # ---------------------------------------------------------------------------
@@ -483,29 +462,21 @@ class TraceDriver:
             raise self._fail(evt, "count must be >= 1")
         variants = self._variants(a["family"], a["fanout"], a["tfrac"])
         rng = Random(derive_seed("build", pid, a["seed"]))
-        roster = RootedHandles(self.rt)
-        descs = []
-        footprint = 0
-        for i in range(a["count"]):
-            desc = variants[rng.randrange(len(variants))]
-            handle = self.rt.allocate(desc)
-            roster.append(handle)
-            descs.append(desc)
-            footprint += desc.instance_size
-            for k, si in enumerate(desc.scalar_indexes):
-                self.rt.write_scalar(handle, si, seed_of(f"tag:{pid}:{i}:{k}"))
         count = a["count"]
+        descs = [variants[rng.randrange(len(variants))] for _ in range(count)]
+        records = []
         for i, desc in enumerate(descs):
-            obj = roster.get(i)
-            for j, fi in enumerate(desc.ref_indexes):
-                if j == 0 and i + 1 < count:
-                    target_index = i + 1  # spine keeps the graph connected
-                else:
-                    target_index = rng.randrange(count)
-                self.rt.write_ref(obj, fi, roster.get(target_index))
-        slot = self.rt.add_root(roster.get(0))
-        roster.release()
-        self.partitions[pid] = _Partition(pid, a["family"], footprint, slot)
+            w = [0] * ((desc.instance_size - HEADER_SIZE) >> 3)
+            for j, k in enumerate(desc.ref_words):
+                # The spine (first reference to the next object) keeps the
+                # graph connected; references are 1-based record numbers.
+                w[k - 2] = i + 2 if j == 0 and i + 1 < count else rng.randrange(count) + 1
+            for n, k in enumerate(desc.scalar_words):
+                w[k - 2] = seed_of(f"tag:{pid}:{i}:{n}")
+            records.append((desc, w))
+        root = install(self.rt, records)[0]
+        footprint = sum(desc.instance_size for desc in descs)
+        self.partitions[pid] = _Partition(pid, a["family"], footprint, self.rt.add_root(root))
 
     def _partition(self, evt: TraceEvent, pid: int) -> _Partition:
         part = self.partitions.get(pid)

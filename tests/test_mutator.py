@@ -6,6 +6,7 @@ import pytest
 
 from dualheap import (
     HeapCorruptionError,
+    HeapExhaustedError,
     InvalidFieldError,
     InvalidHandleError,
     InvalidSlotError,
@@ -218,6 +219,58 @@ def test_double_drop_rejected(rt):
         rt.drop_root(slot)
     with pytest.raises(InvalidSlotError):
         rt.read_root(slot)
+
+
+def test_allocate_many_pins_its_addresses_after_every_slot(rt):
+    desc = register_node_class(rt, refs=0, scalars=1)
+    keep = [rt.add_root(rt.allocate(desc)) for _ in range(2)]
+    assert rt.allocate_many([]) == []
+    assert rt.root_values() == [rt.read_root(s) for s in keep]
+    allocate = rt.allocate
+    first = []
+
+    def tagged_allocate(d):
+        # Collections inside the call: a minor before the 4th allocation, a
+        # major before the 7th.
+        n = len(first)
+        if n == 3:
+            rt.minor_collect()
+        elif n == 6:
+            rt.major_collect()
+        values = rt.root_values()
+        assert values[:2] == [rt.read_root(s) for s in keep]
+        assert [rt.read_scalar(a, 0) for a in values[2:]] == list(range(n))
+        addr = allocate(d)
+        rt.write_scalar(addr, 0, n)
+        first.append(addr)
+        return addr
+
+    rt.allocate = tagged_allocate
+    addrs = rt.allocate_many([desc] * 8)
+    del rt.allocate
+    assert [rt.read_scalar(a, 0) for a in addrs] == list(range(8))
+    assert addrs[0] != first[0] and addrs[3] != first[3]  # moved, and current
+    assert addrs[6:] == first[6:]
+    assert rt.root_values() == [rt.read_root(s) for s in keep]
+
+
+def test_allocate_many_unpins_when_allocation_fails(rt):
+    desc = register_node_class(rt)
+    slot = rt.add_root(rt.allocate(desc))
+    allocate = rt.allocate
+    calls = []
+
+    def failing_allocate(d):
+        calls.append(d)
+        if len(calls) == 4:
+            raise HeapExhaustedError("full")
+        return allocate(d)
+
+    rt.allocate = failing_allocate
+    with pytest.raises(HeapExhaustedError):
+        rt.allocate_many([desc] * 8)
+    del rt.allocate
+    assert rt.root_values() == [rt.read_root(slot)]
 
 
 # -- barrier shape ----------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Workload driver: graph builds, accesses, SD baseline, trace machinery."""
 
 import struct
+from random import Random
 
 import pytest
 
-from dualheap import FieldKind, SdConfig, TraceError
+from dualheap import FieldKind, HeapExhaustedError, SdConfig, TraceError
 from dualheap.metrics import COUNTER_COLUMNS
 from dualheap.workload import (
     BaselineSerializer,
-    RootedHandles,
     TraceDriver,
+    derive_seed,
     generate_trace,
     parse_trace,
     run_trace,
+    seed_of,
 )
 
 from conftest import KIB, MIB, make_config
@@ -290,6 +292,27 @@ def test_serializer_blob_deterministic():
     assert blobs[0] == blobs[1]
 
 
+class RootedHandles:
+    """A growable list of handles that survives collections: every element
+    is parked in its own root slot, so get() returns the current address.
+    The per-field oracles below build through it."""
+
+    def __init__(self, rt) -> None:
+        self.rt = rt
+        self._slots: list[int] = []
+
+    def append(self, handle: int) -> None:
+        self._slots.append(self.rt.add_root(handle))
+
+    def get(self, index: int) -> int:
+        return self.rt.read_root(self._slots[index])
+
+    def release(self) -> None:
+        for slot in self._slots:
+            self.rt.drop_root(slot)
+        self._slots.clear()
+
+
 def deserialize_per_field(rt, blob):
     """`BaselineSerializer.deserialize` wired field by field through the
     mutator API (`write_scalar`/`write_ref`, each with its barrier): the
@@ -367,6 +390,96 @@ def test_deserialize_matches_per_field_wiring_when_allocation_promotes():
     finally:
         for driver in drivers:
             driver.close()
+
+
+def build_per_field(driver, pid, family, count, fanout, tfrac, seed):
+    """`build_partition` wired field by field through the mutator API: each
+    object parked in a root slot and its scalars written (`write_scalar`)
+    as it is allocated, then every reference stored with `write_ref`.
+    Returns the partition's root slot and footprint."""
+    rt = driver.rt
+    variants = driver._variants(family, fanout, tfrac)
+    rng = Random(derive_seed("build", pid, seed))
+    roster = RootedHandles(rt)
+    descs = []
+    footprint = 0
+    for i in range(count):
+        desc = variants[rng.randrange(len(variants))]
+        handle = rt.allocate(desc)
+        roster.append(handle)
+        descs.append(desc)
+        footprint += desc.instance_size
+        for k, si in enumerate(desc.scalar_indexes):
+            rt.write_scalar(handle, si, seed_of(f"tag:{pid}:{i}:{k}"))
+    for i, desc in enumerate(descs):
+        obj = roster.get(i)
+        for j, fi in enumerate(desc.ref_indexes):
+            target_index = i + 1 if j == 0 and i + 1 < count else rng.randrange(count)
+            rt.write_ref(obj, fi, roster.get(target_index))
+    slot = rt.add_root(roster.get(0))
+    roster.release()
+    return slot, footprint
+
+
+@pytest.mark.parametrize("tenuring", [1, 2])
+def test_build_matches_per_field_wiring_when_allocation_collects(tenuring):
+    # A 2 KiB eden: the build's allocations run minors that promote the
+    # objects built so far, and with a tenuring threshold of 2 overflow the
+    # 256-byte survivor half.  Partition 0 is garbage in a 12 KiB old
+    # generation, so the promotions escalate to majors that reclaim it.
+    cfg = make_config(young=2560, old=12 * KIB, tenuring=tenuring)
+    events = parse_trace(
+        "define_class id=1 scalars=2\n"
+        "build_partition part=0 family=1 count=150 fanout=2 tfrac=0.25 seed=5\n"
+        "persist part=0\n"
+        "unpersist part=0\n"
+    )
+    build = parse_trace("build_partition part=1 family=1 count=150 fanout=2 tfrac=0.25 seed=6\n")
+    collections = [[], []]
+    drivers = [
+        TraceDriver(cfg, mode="TC", observer=lambda _d, kind, stats, seen=seen: seen.append((kind, stats)))
+        for seen in collections
+    ]
+    try:
+        for driver, seen in zip(drivers, collections):
+            driver.run(events)
+            seen.clear()
+        fast, slow = drivers
+        fast.run(build)
+        args = dict(build[0].args)
+        slot, footprint = build_per_field(slow, args.pop("part"), **args)
+        part = fast.partitions[1]
+        assert (fast.rt.read_root(part.slot_id), part.footprint) == (slow.rt.read_root(slot), footprint)
+        assert fast.rt.root_values() == slow.rt.root_values()
+        assert _heap_state(fast.rt) == _heap_state(slow.rt)
+        assert fast.rt.counters["barrier_h1_hits"] > 0
+        # the build ran the collections the comment above describes
+        minors = [stats for kind, stats in collections[0] if kind == "minor"]
+        assert [kind for kind, _ in collections[0]] == [kind for kind, _ in collections[1]]
+        assert any(stats.objects_promoted for stats in minors)
+        assert any(kind == "major" for kind, _ in collections[0])
+        if tenuring == 2:
+            # more promoted than the survivor half could have aged: overflow
+            surv_objects = fast.rt.h1.surv_size // (part.footprint // 150)
+            assert any(stats.objects_promoted > surv_objects for stats in minors)
+    finally:
+        for driver in drivers:
+            driver.close()
+
+
+def test_failed_build_leaves_only_partition_roots():
+    # Two live partitions of 150 objects (48 bytes each) fill most of a
+    # 16 KiB old generation, so the third build runs out of heap part-way.
+    cfg = make_config(young=2560, old=16 * KIB)
+    lines = BASE + [
+        f"build_partition part={p} family=1 count=150 fanout=2 tfrac=0.0 seed={p}" for p in range(3)
+    ]
+    with TraceDriver(cfg, mode="TC") as driver:
+        with pytest.raises(HeapExhaustedError):
+            driver.run(parse_trace("\n".join(lines) + "\n"))
+        rt = driver.rt
+        assert sorted(driver.partitions) == [0, 1]
+        assert rt.root_values() == [rt.read_root(p.slot_id) for p in driver.partitions.values()]
 
 
 # -- trace generation ---------------------------------------------------------------
