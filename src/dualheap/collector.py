@@ -11,24 +11,29 @@ escalates to a major collection.
 
 Major collection runs four phases over the whole of H1:
 
-  mark        breadth-first from roots plus the backward-reference stack;
-              never traverses into H2 but records region usage (USED bits),
-              then marks the non-transient closure of every persist hint
+  mark        breadth-first from roots plus the backward-reference stack,
+              keeping each live H1 object's image; never traverses into H2
+              but records region usage (USED bits), then marks the
+              non-transient closure of every persist hint
   precompact  relocation targets: unmarked survivors slide to compacted
               old addresses (surviving young objects are absorbed into
               old), then marked objects get H2 addresses from the region
-              allocator; H1-side references are rewritten, forward
+              allocator; references are forwarded in the images, forward
               references into H2 are left untouched
-  compact     marked objects are written to H2 through the configured
-              write strategy, then the unmarked survivors slide
+  compact     marked objects' images are written to H2 through the
+              configured write strategy, then the slide is stored as one
+              run of images from its first object that moves or changes
   adjust      every slot on the backward-reference stack is rewritten to
               its referent's new address
 
 At the very end, unreachable H2 region groups are reclaimed in bulk.
 
 Relocation maps live in side dictionaries keyed by pre-move address rather
-than in overwritten header words; headers must stay parseable for the
-walks that the phases above perform.
+than in overwritten header words.  The phases after mark work from mark's
+images, so each live H1 object is read once, at mark, and written once, at
+compact.  Apart from the cache marks that closure marking sets, nothing is
+written to either heap before the slide is planned and the H2 room
+checked, so a major that fails there leaves every object in place.
 """
 
 from __future__ import annotations
@@ -280,17 +285,22 @@ class Collector:
         stats.old_bytes_before = h1.old_used()
 
         # -- mark ----------------------------------------------------------
+        # Each live H1 object's image is read once, here, and kept: the
+        # phases below classify, forward and store from it.  Nothing writes
+        # a live H1 object before compact except closure marking, which
+        # updates the image too.
         t_phase = time.perf_counter()
         h2.begin_mark()
-        live: set[int] = set()
-        queue: deque[int] = deque()
+        object_words = h1.object_words
+        live: dict[int, tuple] = {}  # address -> (descriptor, words)
+        queue: deque[tuple] = deque()
 
         def note(value: int) -> None:
             if layout.is_h2(value):
                 h2.set_used(h2.region_of(value))
             elif layout.is_h1(value) and value not in live:
-                live.add(value)
-                queue.append(value)
+                live[value] = image = object_words(value)
+                queue.append(image)
 
         for value in rt.root_values():
             if value:
@@ -299,53 +309,52 @@ class Collector:
             value = rt.load_word(slot)
             if value and layout.is_h1(value):
                 note(value)
-        object_words = h1.object_words
         h1_lo, h1_hi = layout.young_base, layout.old_end  # HeapLayout.is_h1, inlined
         while queue:
-            desc, w = object_words(queue.popleft())
+            desc, w = queue.popleft()
             for k in desc.ref_words:
                 value = w[k]
                 if h1_lo <= value < h1_hi:
                     if value not in live:
-                        live.add(value)
-                        queue.append(value)
+                        live[value] = image = object_words(value)
+                        queue.append(image)
                 elif value:
                     note(value)
 
-        hint_roots = rt.hints.roots()
         hinted = []
-        for root in hint_roots:
+        for root in rt.hints.roots():
             if root in live:
-                hinted.append(PersistHint(root, cache_word_partition(rt.cache_word_of(root))))
+                hinted.append(PersistHint(root, cache_word_partition(live[root][1][1])))
             else:
                 rt.hints.drop(root)
-        stats.marked_objects = etr_mark_closure(rt, hinted) if hinted else 0
+        stats.marked_objects = etr_mark_closure(rt, hinted, live) if hinted else 0
         stats.phase_seconds["mark"] = time.perf_counter() - t_phase
 
         # -- precompact ------------------------------------------------------
         t_phase = time.perf_counter()
-        live_sorted = sorted(live)
         old_base = h1.old_base
         forwarded: dict[int, int] = {}
         marked_list: list[int] = []
         requests: list[tuple[int, int]] = []  # (partition id, size) per marked object
-        slide_old: list[tuple[int, int]] = []  # (address, size)
-        absorb_young: list[tuple[int, int]] = []
-        for addr in live_sorted:
-            desc, w = object_words(addr)
+        slide_old: list[int] = []
+        absorb_young: list[int] = []
+        for addr in sorted(live):
+            desc, w = live[addr]
             if w[1] & 1:  # the cache-candidate mark
                 marked_list.append(addr)
                 requests.append((cache_word_partition(w[1]), desc.instance_size))
             elif addr >= old_base:
-                slide_old.append((addr, desc.instance_size))
+                slide_old.append(addr)
             else:
-                absorb_young.append((addr, desc.instance_size))
+                absorb_young.append(addr)
         # The H1 slide is planned and the H2 room checked first, so either
         # failure leaves both heaps as they were.
+        slide = slide_old + absorb_young
         cursor = old_base
         new_starts: list[int] = []
         unmoved = 0  # the slide's prefix that keeps its place
-        for addr, size in slide_old + absorb_young:
+        for addr in slide:
+            size = live[addr][0].instance_size
             if cursor + size > h1.old_end:
                 raise HeapExhaustedError(
                     f"live data ({cursor + size - old_base} bytes) exceeds "
@@ -359,29 +368,34 @@ class Collector:
         h2.check_room(requests)
         for addr, (pid, size) in zip(marked_list, requests):
             forwarded[addr] = h2.allocate_in_region(pid, size)
-        store_word = h1.store_word
-        for addr in live_sorted:
-            desc, w = object_words(addr)
+        # References are forwarded in the images; the heap is not written.
+        changed: set[int] = set()
+        for addr, (desc, w) in live.items():
             for k in desc.ref_words:
                 new = forwarded.get(w[k])
                 if new is not None and new != w[k]:
-                    store_word(addr + (k << 3), new)
+                    w[k] = new
+                    changed.add(addr)
         rt.rewrite_roots(forwarded)
         stats.phase_seconds["precompact"] = time.perf_counter() - t_phase
 
         # -- compact ---------------------------------------------------------
+        # The slide is stored as one run of images, from its first object
+        # that moves or changes; the objects before it are in place already.
         t_phase = time.perf_counter()
         writer = make_writer(rt)
-        moved, bytes_moved = transfer_marked(rt, marked_list, forwarded, writer)
+        moved, bytes_moved = transfer_marked(
+            rt, [(forwarded[addr], live[addr]) for addr in marked_list], writer
+        )
         stats.objects_moved_to_h2 = moved
         stats.bytes_moved_to_h2 = bytes_moved
         stats.h2_flush_ops = writer.flush_ops
-        for addr, size in slide_old:
-            dest = forwarded[addr]
-            if dest != addr:
-                h1.write_bytes(dest, h1.read_bytes(addr, size))
-        for addr, size in absorb_young:
-            h1.write_bytes(forwarded[addr], h1.read_bytes(addr, size))
+        first = next((i for i in range(unmoved) if slide[i] in changed), unmoved)
+        if first < len(slide):
+            run: list[int] = []
+            for addr in slide[first:]:
+                run += live[addr][1]
+            h1.store_run(new_starts[first], run)
         h1.finish_slide(new_starts[unmoved:], cursor)
         h1.reset_young()
         h1.cards.clear_all()

@@ -15,11 +15,18 @@ dirty-card scans keep alive and the adjust phase keeps up to date.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import HeapError
-from .objmodel import PARTITION_ID_LIMIT, SpaceKind, cache_word_partition
+from .objmodel import (
+    PARTITION_ID_LIMIT,
+    ClassDescriptor,
+    SpaceKind,
+    cache_word,
+    cache_word_partition,
+)
 
 if TYPE_CHECKING:
     from .runtime import Runtime
@@ -107,32 +114,42 @@ def unpersist(rt: "Runtime", partition_id: int) -> None:
             rt.clear_cache_mark(value)
 
 
-def etr_mark_closure(rt: "Runtime", hinted: list[PersistHint]) -> int:
+def etr_mark_closure(rt: "Runtime", hinted: list[PersistHint], images=None) -> int:
     """Mark the non-transient closure of every hinted root.
 
     Traversal never crosses a transient reference field and never enters
     H2.  An object reachable from several hinted roots keeps the partition
     id of the first hint that reaches it; hints are processed in order.
-    Returns the number of distinct objects carrying a mark after the call.
+    `images` maps each H1 address the walk reaches to its `(descriptor,
+    words)` image, as a major collection's mark keeps them; without it
+    images are read with `rt.object_words`.  Setting a mark stores word 1
+    in the heap and in the image.  Returns the number of distinct
+    objects carrying a mark after the call.
     """
-    object_words = rt.object_words
+    image_of = rt.object_words if images is None else images.__getitem__
+
+    def mark(addr: int, words: list[int], partition_id: int) -> None:
+        rt.set_cache_mark(addr, partition_id)
+        words[1] = cache_word(True, partition_id)
+
     visited: set[int] = set()
     for hint in hinted:
         root = hint.root
         rt.layout.classify(root)  # raises InvalidHandleError on a bogus root
+        words = image_of(root)[1]
         if root not in visited:
             visited.add(root)
-            if not rt.cache_marked(root):
-                rt.set_cache_mark(root, hint.partition_id)
-        partition_id = cache_word_partition(rt.cache_word_of(root))
+            if not words[1] & 1:
+                mark(root, words, hint.partition_id)
+        partition_id = cache_word_partition(words[1])
         stack = [root]
         while stack:
             addr = stack.pop()
-            desc, words = object_words(addr)
+            desc, words = image_of(addr)
             # An object is popped during the walk of the hint that reached
             # it, so marking it here, from its image, gives that hint's id.
             if not words[1] & 1:
-                rt.set_cache_mark(addr, partition_id)
+                mark(addr, words, partition_id)
             for k in desc.closure_words:
                 target = words[k]
                 if not target or target in visited:
@@ -216,35 +233,30 @@ def make_writer(rt: "Runtime"):
 
 def transfer_marked(
     rt: "Runtime",
-    marked: list[int],
-    forwarded: dict[int, int],
+    moves: list[tuple[int, tuple[ClassDescriptor, list[int]]]],
     writer,
 ) -> tuple[int, int]:
-    """Copy every marked object to its assigned H2 address.
+    """Write every marked object to its assigned H2 address.
 
-    Fields were already rewritten through the relocation map, so the
-    copied image is final.  Each landed object's card is dirtied without
-    inspecting fields; its image is then read back once, with one
-    `object_words`, so that cross-region H2 references merge the regions'
-    groups.  H1 targets remaining in (transient) fields become backward
-    references and are picked up by the next dirty-card scan.
+    `moves` pairs each H2 address with the object's image, whose fields
+    were already rewritten through the relocation map, so the image is
+    final.  Each image is packed for the writer.  Each landed object's card
+    is then dirtied, and the references in its image merge the regions'
+    groups where they cross regions, so H2 is not read back.  H1 targets
+    remaining in (transient) fields become backward references and are
+    picked up by the next dirty-card scan.
     """
     h2 = rt.h2
-    landed: list[tuple[int, int]] = []
     total = 0
-    for addr in marked:
-        dest = forwarded[addr]
-        size = rt.h1.object_size(addr)
-        writer.write(dest, rt.h1.read_bytes(addr, size))
-        landed.append((dest, size))
-        total += size
+    for dest, (desc, words) in moves:
+        writer.write(dest, array("Q", words).tobytes())
+        total += desc.instance_size
     writer.finish()
-    for dest, size in landed:
+    for dest, (desc, words) in moves:
         h2.dirty_card(dest)
-        desc, w = h2.object_words(dest)
         for k in desc.ref_words:
-            h2.note_reference(dest, w[k])
-    moved = len(landed)
+            h2.note_reference(dest, words[k])
+    moved = len(moves)
     rt.counters["objects_moved_to_h2"] += moved
     rt.counters["bytes_moved_to_h2"] += total
     rt.counters["h2_flush_ops"] += writer.flush_ops

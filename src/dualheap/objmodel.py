@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import struct
 import sys
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import HeapCorruptionError, InvalidHandleError, LayoutError
@@ -299,6 +300,13 @@ class HeapSpace:
             packer = self._packers[n] = struct.Struct(f"<{n}Q")
         off = addr - self.base
         self.buf[off : off + (n << 3)] = packer.pack(*words)
+
+    def store_run(self, addr: int, words: list[int]) -> None:
+        """Store a run of many objects' words from address `addr` onward,
+        in one native write.  Runs vary in length, so no packer is cached
+        for them as `store_words` caches one per object size."""
+        i = (addr - self.base) >> 3
+        self.words[i : i + len(words)] = array("Q", words)
 
     def object_words(self, addr: int) -> tuple[ClassDescriptor, list[int]]:
         """The descriptor of the object at `addr` and its image: every word

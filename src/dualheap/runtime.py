@@ -73,7 +73,6 @@ from .objmodel import (
     HeapLayout,
     SpaceKind,
     cache_word,
-    cache_word_marked,
     class_age_word,
     word_class_id,
 )
@@ -186,9 +185,6 @@ class Runtime:
 
     def cache_word_of(self, addr: int) -> int:
         return self.load_word(addr + 8)
-
-    def cache_marked(self, addr: int) -> bool:
-        return cache_word_marked(self.load_word(addr + 8))
 
     def set_cache_mark(self, addr: int, partition_id: int) -> None:
         self.store_word(addr + 8, cache_word(True, partition_id))

@@ -207,3 +207,87 @@ def test_escalated_minor_scans_h2_cards_once():
         assert threads == list(range(cfg.h2.scan_threads))
         assert graph_snapshot(rt) == before
         del slot
+
+
+def test_major_reads_each_live_h1_object_once(rt):
+    """Mark reads each live H1 object's image once.  Precompact and compact
+    work from those images: no H1 object is read again or rewritten field
+    by field, and the objects moved to H2 are not read back."""
+    desc = register_node_class(rt, refs=2, scalars=1, transient=(1,))
+    cached = build_chain(rt, desc, 12)
+    rt.persist(rt.read_root(cached), 1)
+    rt.major_collect()  # the first cache lands in H2
+    garbage = build_chain(rt, desc, 10)
+    old = build_chain(rt, desc, 30, tag_base=2000)
+    rt.write_ref(rt.read_root(cached), 1, rt.read_root(old))  # a backward reference
+    rt.minor_collect()
+    rt.minor_collect()  # both chains are old; the backward stack is current
+    rt.drop_root(garbage)  # the old chain slides down
+    staged = build_chain(rt, desc, 15, tag_base=3000)  # young, migrates below
+    rt.persist(rt.read_root(staged), 2)
+    young = build_chain(rt, desc, 8, tag_base=4000)
+    rt.write_ref(rt.read_root(old), 1, rt.read_root(young))  # old -> young
+    live_h1 = {a for a in reachable_addrs(rt) if rt.layout.is_h1(a)}
+    before = graph_snapshot(rt)
+
+    calls = {}
+
+    def count(owner, name):
+        calls[(owner, name)] = 0
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls[(owner, name)] += 1
+            return fn(*args)
+
+        setattr(owner, name, counted)
+
+    h1, h2 = rt.h1, rt.h2
+    for name in ("object_words", "read_bytes", "object_size", "store_word"):
+        count(h1, name)
+    count(h2, "object_words")
+    stats = rt.collector.major(skip_minor=True)
+
+    assert stats.live_objects == len(live_h1) == 53
+    assert stats.objects_moved_to_h2 == 15
+    assert calls[(h1, "object_words")] == stats.live_objects
+    assert calls[(h1, "read_bytes")] == 0
+    assert calls[(h1, "object_size")] == 0
+    assert calls[(h1, "store_word")] == 0
+    assert calls[(h2, "object_words")] == 0
+    for name in ("object_words", "read_bytes", "object_size", "store_word"):
+        delattr(h1, name)
+    delattr(h2, "object_words")
+    assert graph_snapshot(rt) == before
+
+
+def test_unmoved_object_with_forwarded_reference_is_stored(rt):
+    """An object in the slide's unmoved prefix whose own references were
+    forwarded is stored: one target was absorbed from the young generation
+    and the other moved to H2, while the object kept its place."""
+    desc = register_node_class(rt, refs=2, scalars=1)
+    holder_slot = build_chain(rt, desc, 1)
+    rt.minor_collect()
+    rt.minor_collect()
+    holder = rt.read_root(holder_slot)
+    assert holder == rt.h1.old_base  # nothing below it can die
+    young_slot = build_chain(rt, desc, 3, tag_base=500)
+    cached_slot = build_chain(rt, desc, 4, tag_base=700)
+    rt.write_ref(holder, 0, rt.read_root(young_slot))
+    rt.write_ref(holder, 1, rt.read_root(cached_slot))
+    rt.persist(rt.read_root(cached_slot), 4)
+    rt.drop_root(young_slot)
+    rt.drop_root(cached_slot)
+    before = graph_snapshot(rt)
+
+    stats = rt.major_collect()
+
+    assert stats.objects_moved_to_h2 == 4
+    assert rt.read_root(holder_slot) == holder
+    absorbed = rt.read_ref(holder, 0)
+    assert rt.classify_handle(absorbed) is SpaceKind.H1_OLD
+    assert rt.read_scalar(absorbed, 2) == 500
+    moved = rt.read_ref(holder, 1)
+    assert rt.classify_handle(moved) is SpaceKind.H2
+    assert rt.read_scalar(moved, 2) == 700
+    assert graph_snapshot(rt) == before
