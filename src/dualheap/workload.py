@@ -119,6 +119,10 @@ def parse_trace(text: str) -> list[TraceEvent]:
                 args[key] = convert(value)
             except ValueError:
                 raise TraceError(f"event {lineno}: bad value {value!r} for {key}") from None
+        if len(args) < len(parts) - 1:  # a key given twice
+            keys = [token.partition("=")[0] for token in parts[1:]]
+            twice = next(key for key in keys if keys.count(key) > 1)
+            raise TraceError(f"event {lineno}: key {twice!r} given twice for {op}")
         if len(args) < len(spec):  # every key of args is one of spec's
             missing = _REQUIRED_ARGS[op] - args.keys()
             if missing:
@@ -380,6 +384,9 @@ class TraceDriver:
         self._sd_lru: OrderedDict[int, int] = OrderedDict()
         self._sd_bytes = 0
         self._sd_blobs: dict[int, bytes] = {}
+        # The last closure walk: its key (see `_walk_key`), order and
+        # descriptors.
+        self._walk: tuple = (None, [], [])
         self.checksums: list[tuple[int, int]] = []
 
     def close(self) -> None:
@@ -546,14 +553,35 @@ class TraceDriver:
 
     # -- access / mutate ----------------------------------------------------
 
+    def _walk_key(self, part: _Partition) -> tuple[int, int, int, int]:
+        """What a closure walk's order depends on: the partition, its root,
+        and the collection indexes.  Objects move only inside a collection,
+        and each collection bumps one index as it starts, failed and
+        escalated ones too (a major bumps only its own index when a minor
+        escalated into it); an SD rebuild gives the partition a new root;
+        and the driver stores no reference after `install`."""
+        collector = self.rt.collector
+        return part.pid, self._root_of(part), collector.minor_index, collector.major_index
+
     def _traverse(self, part: _Partition) -> tuple[list[int], list, int]:
         """The partition's objects in `Runtime.closure` order (breadth-first
         over non-transient references), their descriptors, and the
         checksum: the scalar sum masked to 64 bits, mixed with the object
-        count."""
-        order, descs, total = self.rt.closure(self._root_of(part))
+        count.  Every call walks, and keeps the walk with its key (the
+        partition, its root and the two collection indexes) for `_order`."""
+        key = self._walk_key(part)
+        order, descs, total = self.rt.closure(key[1])
+        self._walk = key, order, descs
         checksum = ((total & _MASK64) * 0x100000001B3 + len(order)) & _MASK64
         return order, descs, checksum
+
+    def _order(self, part: _Partition) -> tuple[list[int], list]:
+        """The partition's closure order and descriptors: the last walk's
+        when its key still matches, else a new walk through `_traverse`."""
+        key, order, descs = self._walk
+        if key != self._walk_key(part):
+            order, descs, _ = self._traverse(part)
+        return order, descs
 
     def _object_checksum(self, addr: int) -> int:
         return sum(self.rt.scalar_values(addr)) & _MASK64
@@ -565,21 +593,32 @@ class TraceDriver:
             raise self._fail(evt, f"unknown access kind {kind!r}")
         if self.mode == "SD":
             self._sd_ensure_resident(part)
-        order, _, checksum = self._traverse(part)
-        if kind == "point":
+        if kind == "scan":
+            # A scan always walks: it reads every scalar for the checksum.
+            checksum = self._traverse(part)[2]
+        else:
+            order, _ = self._order(part)
             rng = Random(derive_seed("point", part.pid, evt.args.get("seed", 0)))
             checksum = self._object_checksum(order[rng.randrange(len(order))])
         self.checksums.append((evt.index, checksum))
 
     def _ev_mutate(self, evt: TraceEvent) -> None:
+        """Add a derived delta to the last scalar of `count` objects picked
+        by position in the partition's closure order.  The order comes from
+        `_order`, so a mutate reuses the partition's last walk when no
+        collection has run and no SD rebuild has given it a new root since
+        (see `_walk_key`); scalar stores do not change the order."""
         part = self._partition(evt, evt.args["part"])
+        count = evt.args["count"]
+        if count < 0:
+            raise self._fail(evt, "count must be >= 0")
         if self.mode == "SD":
             self._sd_ensure_resident(part)
-        order, descs, _ = self._traverse(part)
+        order, descs = self._order(part)
         seed = evt.args["seed"]
         rng = Random(derive_seed("mutate", part.pid, seed))
         rt = self.rt
-        for k in range(evt.args["count"]):
+        for k in range(count):
             j = rng.randrange(len(order))
             addr = order[j]
             index = descs[j].scalar_indexes[-1]

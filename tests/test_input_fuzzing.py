@@ -111,7 +111,7 @@ _KEY_VALUES = {
     "scalars": st.sampled_from([2, 1, 3, 0, -1]),
     "part": st.sampled_from([0, 1, -1, 1 << 63]),
     "family": st.sampled_from([1, 1, 1, 2, 0]),
-    "count": st.sampled_from([30, 5, 1, 0, -1]),
+    "count": st.sampled_from([30, 5, 1, 0, -1, -30]),
     "fanout": st.sampled_from([2, 1, 0, 4, -1]),
     "tfrac": st.sampled_from(["0", "0.25", "1", "nan", "inf", "-1", "1e400"]),
     "seed": st.integers(-5, 1 << 64),
@@ -123,7 +123,8 @@ _junk = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 @st.composite
 def _trace_line(draw, junk=10):
     """One trace line of a real op and keys; with `junk`, about one line in
-    `junk` has a junk op, and a key in 4 * `junk` a junk value or token."""
+    `junk` has a junk op, one in `junk` a key given twice, and a key in
+    4 * `junk` a junk value or token."""
     ops = st.sampled_from(list(_OPS) + ["build_partition", "persist"])  # the state-making ops twice
     op = draw(_mostly(ops, _junk, junk) if junk else ops)
     tokens = [op]
@@ -133,6 +134,9 @@ def _trace_line(draw, junk=10):
         tokens.append(f"{key}={value}")
         if junk and draw(st.integers(1, 4 * junk)) == 1:
             tokens[-1] = draw(st.sampled_from(["", value, f"{key}="]))  # "" drops the key
+    if junk and len(tokens) > 1 and draw(st.integers(1, junk)) == 1:
+        key = tokens[draw(st.integers(1, len(tokens) - 1))].partition("=")[0]
+        tokens.append(f"{key}={draw(_KEY_VALUES.get(key, _junk))}")
     if junk and draw(st.integers(1, junk)) == 1:
         tokens.insert(draw(st.integers(1, len(tokens))), draw(_junk))
     return " ".join(tokens) + draw(st.sampled_from(["", "  # note", "\t"]))
@@ -146,6 +150,9 @@ def test_parse_trace_ends_in_trace_error_or_events(lines):
     except TraceError:
         return
     assert all(evt.op in _OPS for evt in events)
+    for line in lines:  # a parsed line names each key once
+        keys = [token.partition("=")[0] for token in line.partition("#")[0].split()[1:]]
+        assert len(keys) == len(set(keys))
 
 
 _VALID_PREFIX = [

@@ -171,6 +171,20 @@ def test_mutation_changes_checksum_deterministically():
     assert r1.checksums[0][1] != r1.checksums[1][1]
 
 
+@pytest.mark.parametrize("mode", ["TC", "SD", "MO"])
+def test_mutate_negative_count_is_a_trace_error_and_zero_a_no_op(mode):
+    build = BASE + [
+        "build_partition part=0 family=1 count=20 fanout=2 tfrac=0.0 seed=5",
+        "persist part=0",
+        "access part=0 kind=scan",
+    ]
+    with pytest.raises(TraceError, match="event 5: count must be >= 0"):
+        drive(build + ["mutate part=0 count=-1 seed=3"], mode)
+    zero = drive(build + ["mutate part=0 count=0 seed=3", "access part=0 kind=scan"], mode)
+    assert zero.checksums[0][1] == zero.checksums[1][1]
+    assert zero.counters == drive(build, mode).counters
+
+
 # -- run_trace --------------------------------------------------------------------
 
 
@@ -533,6 +547,20 @@ def test_parse_rejects_unknown_op():
 def test_parse_rejects_missing_keys():
     with pytest.raises(TraceError, match="missing"):
         parse_trace("build_partition part=0\n")
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("access part=0 part=1 kind=scan", "part"),
+        ("mutate part=0 count=1 seed=2 count=1", "count"),
+        ("gc_hint kind=minor kind=major", "kind"),
+    ],
+)
+def test_parse_rejects_a_key_given_twice(line, key):
+    # Before, the last value won: the first line read partition 1.
+    with pytest.raises(TraceError, match=f"event 2: key '{key}' given twice"):
+        parse_trace(f"define_class id=1 scalars=2\n{line}\n")
 
 
 def test_parse_skips_comments_and_blanks():
