@@ -20,9 +20,9 @@ Major collection runs four phases over the whole of H1:
               old), then marked objects get H2 addresses from the region
               allocator; references are forwarded in the images, forward
               references into H2 are left untouched
-  compact     marked objects' images are written to H2 through the
-              configured write strategy, then the slide is stored as one
-              run of images from its first object that moves or changes
+  compact     marked objects' images are stored in H2, one store per
+              image, then the slide is stored as one run of images from
+              its first object that moves or changes
   adjust      every slot on the backward-reference stack is rewritten to
               its referent's new address
 
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 
 from .errors import HeapError, HeapExhaustedError
 from .metrics import MajorStats, MinorStats
-from .migration import PersistHint, etr_mark_closure, make_writer, transfer_marked
+from .migration import PersistHint, etr_mark_closure, transfer_marked
 from .objmodel import bump_age, cache_word_partition, word_age
 
 if TYPE_CHECKING:
@@ -383,19 +383,15 @@ class Collector:
         # The slide is stored as one run of images, from its first object
         # that moves or changes; the objects before it are in place already.
         t_phase = time.perf_counter()
-        writer = make_writer(rt)
-        moved, bytes_moved = transfer_marked(
-            rt, [(forwarded[addr], live[addr]) for addr in marked_list], writer
-        )
-        stats.objects_moved_to_h2 = moved
-        stats.bytes_moved_to_h2 = bytes_moved
-        stats.h2_flush_ops = writer.flush_ops
+        moves = [(forwarded[addr], live[addr]) for addr in marked_list]
+        (stats.objects_moved_to_h2, stats.bytes_moved_to_h2,
+         stats.h2_flush_ops) = transfer_marked(rt, moves)
         first = next((i for i in range(unmoved) if slide[i] in changed), unmoved)
         if first < len(slide):
             run: list[int] = []
             for addr in slide[first:]:
                 run += live[addr][1]
-            h1.store_run(new_starts[first], run)
+            h1.store_words(new_starts[first], run)
         h1.finish_slide(new_starts[unmoved:], cursor)
         h1.reset_young()
         h1.cards.clear_all()

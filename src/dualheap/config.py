@@ -162,6 +162,8 @@ class RuntimeConfig:
             raise ConfigError("migration.batch_buffer must be positive")
         if not (0.0 < self.sd.cache_fraction <= 1.0):
             raise ConfigError("sd.cache_fraction must be in (0, 1]")
+        if self.mo_old_size is not None and self.mo_old_size <= 0:
+            raise ConfigError(f"mo_old_size must be positive, got {self.mo_old_size}")
         if self.mo_old_size is not None and self.mo_old_size % h1.card_segment != 0:
             raise ConfigError(
                 f"mo_old_size ({self.mo_old_size}) must be a multiple of "

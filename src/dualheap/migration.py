@@ -5,8 +5,8 @@ object moves until the next major collection.  During that collection's
 marking phase the closure of every hinted root is computed over
 non-transient reference fields and marked with the root's partition id
 (eager, non-transient closure).  The compaction phase then appends every
-marked live object to its partition's H2 region through a pluggable write
-strategy.
+marked live object to its partition's H2 region, one `store_words` per
+image; the configured write strategy only sets how flushes are counted.
 
 Transient reference fields are not followed by closure marking and keep
 their H1 targets after the move, becoming backward references that the
@@ -15,7 +15,6 @@ dirty-card scans keep alive and the adjust phase keeps up to date.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -161,103 +160,40 @@ def etr_mark_closure(rt: "Runtime", hinted: list[PersistHint], images=None) -> i
     return len(visited)
 
 
-# ---------------------------------------------------------------------------
-# Write strategies for the compaction-phase transfer.
-
-
-class DirectCopyWriter:
-    """One synchronous store per object, the memory-copy path."""
-
-    def __init__(self, h2) -> None:
-        self.h2 = h2
-        self.flush_ops = 0
-
-    def write(self, dest: int, data: bytes) -> None:
-        self.h2.write_bytes(dest, data)
-        self.flush_ops += 1
-
-    def finish(self) -> None:
-        pass
-
-
-class BatchedAsyncWriter:
-    """Byte-stream buffering in fixed-size flushes.
-
-    Object images are appended to a fixed-size buffer and may straddle a
-    flush boundary, so every flush except the last carries exactly
-    `buffer_size` bytes: the number of flush operations for B bytes moved
-    is ceil(B / buffer_size).  A flush models one asynchronous submission;
-    finish() flushes the remainder, so the H2 image is complete before
-    compaction ends.  The resulting bytes are identical to the direct-copy
-    path.
-    """
-
-    def __init__(self, h2, buffer_size: int) -> None:
-        self.h2 = h2
-        self.buffer_size = buffer_size
-        self.flush_ops = 0
-        self._fill = 0
-        self._entries: list[tuple[int, bytes]] = []
-
-    def write(self, dest: int, data: bytes) -> None:
-        view = memoryview(data)
-        while view.nbytes:
-            room = self.buffer_size - self._fill
-            chunk = view[:room]
-            self._entries.append((dest, bytes(chunk)))
-            self._fill += chunk.nbytes
-            dest += chunk.nbytes
-            view = view[chunk.nbytes:]
-            if self._fill == self.buffer_size:
-                self._flush()
-
-    def _flush(self) -> None:
-        if not self._entries:
-            return
-        for dest, data in self._entries:
-            self.h2.write_bytes(dest, data)
-        self._entries = []
-        self._fill = 0
-        self.flush_ops += 1
-
-    def finish(self) -> None:
-        self._flush()
-
-
-def make_writer(rt: "Runtime"):
-    cfg = rt.config.migration
-    if cfg.strategy == "direct_copy":
-        return DirectCopyWriter(rt.h2)
-    return BatchedAsyncWriter(rt.h2, cfg.batch_buffer)
-
-
 def transfer_marked(
     rt: "Runtime",
     moves: list[tuple[int, tuple[ClassDescriptor, list[int]]]],
-    writer,
-) -> tuple[int, int]:
-    """Write every marked object to its assigned H2 address.
+) -> tuple[int, int, int]:
+    """Store every marked object at its assigned H2 address.
 
     `moves` pairs each H2 address with the object's image, whose fields
     were already rewritten through the relocation map, so the image is
-    final.  Each image is packed for the writer.  Each landed object's card
-    is then dirtied, and the references in its image merge the regions'
-    groups where they cross regions, so H2 is not read back.  H1 targets
-    remaining in (transient) fields become backward references and are
-    picked up by the next dirty-card scan.
+    final.  Each image is stored with one `store_words`, its card is
+    dirtied, and the references in it merge the regions' groups where they
+    cross regions, so H2 is not read back.  H1 targets remaining in
+    (transient) fields become backward references and are picked up by
+    the next dirty-card scan.
+
+    Both write strategies store the same way and differ only in how they
+    count flushes: `direct_copy` counts one per object, `batched_async`
+    one per full or final `batch_buffer` of the bytes moved, that is
+    ceil(bytes / batch_buffer).  Returns (objects, bytes, flushes).
     """
     h2 = rt.h2
     total = 0
     for dest, (desc, words) in moves:
-        writer.write(dest, array("Q", words).tobytes())
-        total += desc.instance_size
-    writer.finish()
-    for dest, (desc, words) in moves:
+        h2.store_words(dest, words)
         h2.dirty_card(dest)
         for k in desc.ref_words:
             h2.note_reference(dest, words[k])
+        total += desc.instance_size
     moved = len(moves)
+    cfg = rt.config.migration
+    if cfg.strategy == "direct_copy":
+        flushes = moved
+    else:
+        flushes = -(-total // cfg.batch_buffer)
     rt.counters["objects_moved_to_h2"] += moved
     rt.counters["bytes_moved_to_h2"] += total
-    rt.counters["h2_flush_ops"] += writer.flush_ops
-    return moved, total
+    rt.counters["h2_flush_ops"] += flushes
+    return moved, total, flushes

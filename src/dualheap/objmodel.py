@@ -26,7 +26,6 @@ per-card first-object table that locates the objects overlapping a card.
 from __future__ import annotations
 
 import enum
-import struct
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -249,13 +248,15 @@ class HeapSpace:
     """A buffer of gap-free objects starting at address `base`.
 
     Words are read and written through one `memoryview` of the buffer cast
-    to unsigned 64-bit words, indexed by the word offset from `base`.
-    Object walks read an object's whole image with `object_words` and store
-    one back with `store_words`, one native call each.  `first_obj` has
-    one entry per card of `cards`: the address of the object covering the
-    card's first byte, or 0 when no object does.  As
-    objects lie without gaps, a walk from a card's entry parses every
-    object overlapping the card, including one spilling in from before it.
+    to unsigned 64-bit words, indexed by the word offset from `base`; no
+    method reads or writes raw bytes.  Object walks read an object's whole
+    image with `object_words`.  `store_words` is the one multi-word store:
+    an object's image, a run of images or a migrated image, each in one
+    native call.  `first_obj` has one entry per card of `cards`: the
+    address of the object covering the card's first byte, or 0 when no
+    object does.  As objects lie without gaps, a walk from a card's entry
+    parses every object overlapping the card, including one spilling in
+    from before it.
     """
 
     def __init__(self, base: int, buf, registry: ClassRegistry, cards: CardTable) -> None:
@@ -265,7 +266,6 @@ class HeapSpace:
         self.registry = registry
         self.cards = cards
         self.first_obj = [0] * cards.n_cards
-        self._packers: dict[int, struct.Struct] = {}  # word count -> its packer
 
     def close(self) -> None:
         # The view must be released first: an mmap with exported buffers
@@ -284,27 +284,9 @@ class HeapSpace:
     def store_word(self, addr: int, value: int) -> None:
         self.words[(addr - self.base) >> 3] = value
 
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        off = addr - self.base
-        return self.buf[off : off + size]
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        off = addr - self.base
-        self.buf[off : off + len(data)] = data
-
     def store_words(self, addr: int, words: list[int]) -> None:
-        """Store `words` from address `addr` onward, in one native write."""
-        n = len(words)
-        packer = self._packers.get(n)
-        if packer is None:
-            packer = self._packers[n] = struct.Struct(f"<{n}Q")
-        off = addr - self.base
-        self.buf[off : off + (n << 3)] = packer.pack(*words)
-
-    def store_run(self, addr: int, words: list[int]) -> None:
-        """Store a run of many objects' words from address `addr` onward,
-        in one native write.  Runs vary in length, so no packer is cached
-        for them as `store_words` caches one per object size."""
+        """Store `words` from address `addr` onward, in one native write:
+        one object's image or a run of many objects' images."""
         i = (addr - self.base) >> 3
         self.words[i : i + len(words)] = array("Q", words)
 

@@ -367,7 +367,7 @@ class TraceDriver:
         self.mode = mode or config.mode
         cfg = config.with_mode(self.mode)
         if self.mode == "MO":
-            old = cfg.mo_old_size or cfg.h2.size
+            old = cfg.h2.size if cfg.mo_old_size is None else cfg.mo_old_size
             cfg = replace(cfg, h1=replace(cfg.h1, old_size=old))
         cfg.validate()
         self.config = cfg

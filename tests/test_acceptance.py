@@ -359,11 +359,11 @@ def test_criterion_08_strategy_equivalence(tmp_path):
         )
         with TraceDriver(cfg, mode="TC", observer=observer) as driver:
             driver.run(events)
-            rt = driver.rt
+            h2 = driver.rt.h2
             images[strategy] = [
-                (r, rt.h2.partition_ids[r],
-                 rt.h2.read_bytes(rt.h2.region_start(r), rt.h2.alloc_offsets[r]))
-                for r in rt.h2.allocated_regions()
+                (r, h2.partition_ids[r],
+                 h2.load_words(h2.region_start(r), h2.region_start(r) + h2.alloc_offsets[r]))
+                for r in h2.allocated_regions()
             ]
         cycles[strategy] = majors
     assert images["direct_copy"] == images["batched_async"]

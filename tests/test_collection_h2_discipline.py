@@ -11,6 +11,8 @@ dirty-card scan reads through `H2Heap.load_words`, one range per card; the
 wrapper logs it as one 8-byte read per word of the range, so the check is
 as strict per word as for `load_word`.  Object walks read whole images
 through `H2Heap.object_words`, logged as one read of the object's size.
+Every multi-word H2 store, migration's included, goes through
+`H2Heap.store_words`, logged as one write of `8 * len(words)` bytes.
 """
 
 from random import Random
@@ -35,7 +37,7 @@ class AccessLog:
         orig_h2_load, orig_h2_store = h2.load_word, h2.store_word
         orig_h2_load_words = h2.load_words
         orig_h2_object_words = h2.object_words
-        orig_write_bytes, orig_read_bytes = h2.write_bytes, h2.read_bytes
+        orig_h2_store_words = h2.store_words
         orig_alloc = h2.allocate_in_region
 
         def in_h2(addr):
@@ -58,8 +60,7 @@ class AccessLog:
 
         h2.object_words = object_words
         h2.store_word = lambda a, v: self.writes.append((a, 8)) or orig_h2_store(a, v)
-        h2.write_bytes = lambda a, d: self.writes.append((a, len(d))) or orig_write_bytes(a, d)
-        h2.read_bytes = lambda a, n: self.reads.append((a, n)) or orig_read_bytes(a, n)
+        h2.store_words = lambda a, w: self.writes.append((a, 8 * len(w))) or orig_h2_store_words(a, w)
 
         def alloc(pid, size):
             addr = orig_alloc(pid, size)
@@ -69,14 +70,14 @@ class AccessLog:
         h2.allocate_in_region = alloc
         self._restore = (
             orig_rt_load, orig_rt_store, orig_h2_load, orig_h2_store,
-            orig_write_bytes, orig_read_bytes, orig_alloc, orig_h2_load_words,
+            orig_h2_store_words, orig_alloc, orig_h2_load_words,
             orig_h2_object_words,
         )
 
     def uninstall(self):
         rt, h2 = self.rt, self.rt.h2
         (rt.load_word, rt.store_word, h2.load_word, h2.store_word,
-         h2.write_bytes, h2.read_bytes, h2.allocate_in_region, h2.load_words,
+         h2.store_words, h2.allocate_in_region, h2.load_words,
          h2.object_words) = self._restore
 
 

@@ -76,6 +76,8 @@ def test_validation_names_offending_fields(kw, fragment):
         {"trace": 5},
         {"metrics_out": ["m.csv"]},
         {"h2": {"backing": 5}},
+        {"mo_old_size": 0},
+        {"mo_old_size": -512},
         {1: "x", "mode": "TC", "z": 0},
         ["mode", "TC"],
     ],
@@ -128,7 +130,7 @@ def test_file_backed_h2_is_a_raw_image(tmp_path):
         migrated = rt.read_root(slot)
         assert rt.classify_handle(migrated) is SpaceKind.H2
         file_offset = migrated - rt.h2.base
-        in_heap = rt.h2.read_bytes(migrated, desc.instance_size)
+        in_heap = bytes(rt.h2.buf[file_offset : file_offset + desc.instance_size])
 
         raw = backing.read_bytes()
         assert len(raw) == cfg.h2.size

@@ -212,7 +212,8 @@ def test_escalated_minor_scans_h2_cards_once():
 def test_major_reads_each_live_h1_object_once(rt):
     """Mark reads each live H1 object's image once.  Precompact and compact
     work from those images: no H1 object is read again or rewritten field
-    by field, and the objects moved to H2 are not read back."""
+    by field, the slide is stored as one run, each object moved to H2 is
+    stored with one call, and none is read back."""
     desc = register_node_class(rt, refs=2, scalars=1, transient=(1,))
     cached = build_chain(rt, desc, 12)
     rt.persist(rt.read_root(cached), 1)
@@ -243,21 +244,24 @@ def test_major_reads_each_live_h1_object_once(rt):
         setattr(owner, name, counted)
 
     h1, h2 = rt.h1, rt.h2
-    for name in ("object_words", "read_bytes", "object_size", "store_word"):
+    for name in ("object_words", "object_size", "store_word", "store_words"):
         count(h1, name)
-    count(h2, "object_words")
+    for name in ("object_words", "store_words"):
+        count(h2, name)
     stats = rt.collector.major(skip_minor=True)
 
     assert stats.live_objects == len(live_h1) == 53
     assert stats.objects_moved_to_h2 == 15
     assert calls[(h1, "object_words")] == stats.live_objects
-    assert calls[(h1, "read_bytes")] == 0
     assert calls[(h1, "object_size")] == 0
     assert calls[(h1, "store_word")] == 0
+    assert calls[(h1, "store_words")] == 1  # the slide, as one run
     assert calls[(h2, "object_words")] == 0
-    for name in ("object_words", "read_bytes", "object_size", "store_word"):
+    assert calls[(h2, "store_words")] == stats.objects_moved_to_h2  # one per image
+    for name in ("object_words", "object_size", "store_word", "store_words"):
         delattr(h1, name)
-    delattr(h2, "object_words")
+    for name in ("object_words", "store_words"):
+        delattr(h2, name)
     assert graph_snapshot(rt) == before
 
 

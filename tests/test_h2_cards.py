@@ -416,7 +416,7 @@ def _mixed_size_heap(rt, plan, draw_target):
         ]
     )
     pads: dict[int, object] = {}
-    scalar_fill = rt.layout.young_base.to_bytes(8, "little")
+    scalar_fill = rt.layout.young_base
 
     def place(kind, pid):
         if kind == "pad":
@@ -433,7 +433,7 @@ def _mixed_size_heap(rt, plan, draw_target):
         else:
             desc = small if kind == "small" else big
         addr = h2.allocate_in_region(pid, desc.instance_size)
-        h2.write_bytes(addr + 16, scalar_fill * len(desc.fields))
+        h2.store_words(addr + 16, [scalar_fill] * len(desc.fields))
         h2.store_word(addr, class_age_word(desc.class_id, 0))
         h2.store_word(addr + 8, 0)
         for fi in desc.ref_indexes:

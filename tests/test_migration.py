@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from dualheap import PersistHint, Runtime, SpaceKind
-from dualheap.migration import BatchedAsyncWriter, DirectCopyWriter, etr_mark_closure
+from dualheap.migration import etr_mark_closure
 from dualheap.objmodel import cache_word_marked, cache_word_partition
 
 from conftest import KIB, MIB, build_chain, make_config, register_node_class
@@ -268,39 +268,10 @@ def test_unmutated_partition_scans_clean(rt):
 # -- write strategies ----------------------------------------------------------
 
 
-class _Sink:
-    def __init__(self):
-        self.image = {}
-
-    def write_bytes(self, dest, data):
-        for i, b in enumerate(data):
-            self.image[dest + i] = b
-
-
-def test_writers_produce_identical_bytes():
-    rng = Random(31)
-    stream = []
-    dest = 1 << 20
-    for _ in range(200):
-        size = rng.choice([24, 64, 104, 4096])
-        stream.append((dest, bytes(rng.randrange(256) for _ in range(size))))
-        dest += size
-    direct_sink, batched_sink = _Sink(), _Sink()
-    direct = DirectCopyWriter(direct_sink)
-    batched = BatchedAsyncWriter(batched_sink, buffer_size=8 * KIB)
-    for d, data in stream:
-        direct.write(d, data)
-        batched.write(d, data)
-    direct.finish()
-    batched.finish()
-    assert direct_sink.image == batched_sink.image
-    total = sum(len(d) for _, d in stream)
-    assert batched.flush_ops == -(-total // (8 * KIB))  # ceil division
-
-
 def test_strategy_equivalence_end_to_end():
     images = {}
     flushes = {}
+    moved_objects = {}
     moved_bytes = {}
     for strategy in ("direct_copy", "batched_async"):
         cfg = make_config(strategy=strategy, batch_buffer=4 * KIB)
@@ -310,16 +281,20 @@ def test_strategy_equivalence_end_to_end():
                 slot = build_chain(rt, desc, 40, tag_base=pid * 1000)
                 rt.persist(rt.read_root(slot), pid)
             stats = rt.major_collect()
+            h2 = rt.h2
             spans = [
-                rt.h2.read_bytes(rt.h2.region_start(r), rt.h2.alloc_offsets[r])
-                for r in rt.h2.allocated_regions()
+                h2.load_words(h2.region_start(r), h2.region_start(r) + h2.alloc_offsets[r])
+                for r in h2.allocated_regions()
             ]
             images[strategy] = spans
             flushes[strategy] = stats.h2_flush_ops
+            moved_objects[strategy] = stats.objects_moved_to_h2
             moved_bytes[strategy] = stats.bytes_moved_to_h2
     assert images["direct_copy"] == images["batched_async"]
-    limit = -(-moved_bytes["batched_async"] // (4 * KIB))
-    assert flushes["batched_async"] <= limit
+    assert moved_objects["direct_copy"] == moved_objects["batched_async"] == 120
+    assert flushes["direct_copy"] == moved_objects["direct_copy"]
+    assert flushes["batched_async"] == -(-moved_bytes["batched_async"] // (4 * KIB))  # ceil
+    assert flushes["batched_async"] > 1  # the images straddle several buffers
 
 
 # -- unpersist ---------------------------------------------------------------------
