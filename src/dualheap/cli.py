@@ -9,7 +9,8 @@ precedence over the config file.
 
 Metrics are appended to a CSV with a fixed column set; sweep output adds
 one normalized column per work counter (each value divided by the first
-run's value) so trend checks need no external joins.
+run's value) so trend checks need no external joins.  An existing output
+file with a different header is refused before anything runs (exit 2).
 """
 
 from __future__ import annotations
@@ -65,6 +66,17 @@ def apply_sweep_value(cfg: RuntimeConfig, param: str, raw: str) -> RuntimeConfig
     raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
 
 
+def _check_header(path: str, fieldnames: list[str]) -> None:
+    """Refuse a non-empty output file whose header is not `fieldnames`, so
+    rows are never appended under another command's columns."""
+    out = Path(path)
+    if out.exists() and out.stat().st_size > 0:
+        with out.open(newline="", errors="replace") as fh:
+            header = next(csv.reader(fh), [])
+        if header != fieldnames:
+            raise ConfigError(f"{path} has a different CSV header; choose another output file")
+
+
 def _write_rows(path: str, fieldnames: list[str], rows: list[dict]) -> None:
     out = Path(path)
     exists = out.exists() and out.stat().st_size > 0
@@ -86,6 +98,7 @@ def _run_one(cfg: RuntimeConfig) -> MetricsReport:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_env_overrides(load_config(args.config))
+    _check_header(cfg.metrics_out, REPORT_COLUMNS)
     report = _run_one(cfg)
     _write_rows(cfg.metrics_out, REPORT_COLUMNS, [report.row()])
     print(f"run {report.run_id}: wrote 1 row to {cfg.metrics_out}")
@@ -124,11 +137,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    reports = sweep_reports(base, args.param, values)
     fieldnames = ["param", "value"] + REPORT_COLUMNS + [
         f"{c}_rel" for c in WORK_COUNTER_COLUMNS
     ]
     out = args.out or base.metrics_out
+    _check_header(out, fieldnames)
+    reports = sweep_reports(base, args.param, values)
     _write_rows(out, fieldnames, sweep_rows(reports, args.param))
     print(f"sweep {args.param}: wrote {len(reports)} rows to {out}")
     return 0

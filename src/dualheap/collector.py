@@ -234,7 +234,6 @@ class Collector:
         for slot, value in dict(backward).items():  # a spilling slot may repeat
             if value in forwarded:
                 rt.store_word(slot, forwarded[value])
-        rt.hints.remap_after_minor(forwarded, layout.is_young)
 
         # Re-dirty owners whose scanned slots still hold young references
         # (their targets stayed in the young generation).
@@ -321,12 +320,8 @@ class Collector:
                 elif value:
                     note(value)
 
-        hinted = []
-        for root in rt.hints.roots():
-            if root in live:
-                hinted.append(PersistHint(root, cache_word_partition(live[root][1][1])))
-            else:
-                rt.hints.drop(root)
+        rt.hints = dict.fromkeys(root for root in rt.hints if root in live)
+        hinted = [PersistHint(r, cache_word_partition(live[r][1][1])) for r in rt.hints]
         stats.marked_objects = etr_mark_closure(rt, hinted, live) if hinted else 0
         stats.phase_seconds["mark"] = time.perf_counter() - t_phase
 
@@ -409,7 +404,9 @@ class Collector:
         stats.phase_seconds["adjust"] = time.perf_counter() - t_phase
 
         stats.regions_freed = h2.reclaim_free_regions()
-        rt.hints.remap_after_major(forwarded, layout.is_h2)
+        # Closure marking marked every live hinted root, so precompact
+        # forwarded each one into H2: no hint is pending any more.
+        rt.hints.clear()
 
         stats.live_objects = len(live)
         stats.old_bytes_after = h1.old_used()

@@ -86,8 +86,9 @@ class H1Heap(HeapSpace):
 
     def zero_range(self, start: int, end: int) -> None:
         if end > start:
-            off = start - self.base
-            self.buf[off : off + (end - start)] = bytes(end - start)
+            base = self.base
+            zeros = memoryview(bytes(end - start)).cast("Q")
+            self.words[(start - base) >> 3 : (end - base) >> 3] = zeros
 
     # -- allocation ---------------------------------------------------------
 

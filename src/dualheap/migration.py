@@ -1,12 +1,13 @@
-"""Cache migration: persist hints, closure marking, and the H2 transfer.
+"""Cache migration: closure marking and the H2 transfer.
 
-persist() stamps the header mark word of a partition's root object; no
-object moves until the next major collection.  During that collection's
-marking phase the closure of every hinted root is computed over
-non-transient reference fields and marked with the root's partition id
-(eager, non-transient closure).  The compaction phase then appends every
-marked live object to its partition's H2 region, one `store_words` per
-image; the configured write strategy only sets how flushes are counted.
+`Runtime.persist` stamps the header mark word of a partition's root object
+and records the root as a pending hint; no object moves until the next
+major collection.  During that collection's marking phase the closure of
+every hinted root is computed over non-transient reference fields and
+marked with the root's partition id (eager, non-transient closure).  The
+compaction phase then appends every marked live object to its partition's
+H2 region, one `store_words` per image; the configured write strategy only
+sets how flushes are counted.
 
 Transient reference fields are not followed by closure marking and keep
 their H1 targets after the move, becoming backward references that the
@@ -18,14 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import HeapError
-from .objmodel import (
-    PARTITION_ID_LIMIT,
-    ClassDescriptor,
-    SpaceKind,
-    cache_word,
-    cache_word_partition,
-)
+from .objmodel import ClassDescriptor, cache_word, cache_word_partition
 
 if TYPE_CHECKING:
     from .runtime import Runtime
@@ -35,82 +29,6 @@ if TYPE_CHECKING:
 class PersistHint:
     root: int
     partition_id: int
-
-
-class HintRegistry:
-    """Pending persist hints, ordered by first persist.
-
-    Entries hold plain addresses and are remapped after every collection;
-    they do not keep their roots alive.  A hint is dropped when its root
-    dies or when the root migrates to H2 (re-persisting a migrated
-    partition is a no-op).
-    """
-
-    def __init__(self) -> None:
-        self._roots: dict[int, None] = {}
-
-    def record(self, root: int) -> None:
-        if root not in self._roots:
-            self._roots[root] = None
-
-    def drop(self, root: int) -> None:
-        self._roots.pop(root, None)
-
-    def roots(self) -> list[int]:
-        return list(self._roots)
-
-    def remap_after_minor(self, forwarded: dict[int, int], is_young) -> None:
-        remapped: dict[int, None] = {}
-        for addr in self._roots:
-            if is_young(addr):
-                new = forwarded.get(addr)
-                if new is None:
-                    continue  # root died
-                remapped[new] = None
-            else:
-                remapped[addr] = None
-        self._roots = remapped
-
-    def remap_after_major(self, forwarded: dict[int, int], is_h2) -> None:
-        remapped: dict[int, None] = {}
-        for addr in self._roots:
-            new = forwarded.get(addr)
-            if new is None or is_h2(new):
-                continue  # dead, or migrated and therefore satisfied
-            remapped[new] = None
-        self._roots = remapped
-
-
-def persist(rt: "Runtime", root: int, partition_id: int) -> None:
-    """Mark `root` as a cache candidate for `partition_id`.
-
-    Idempotent for a repeated (root, id) pair; a second persist with a
-    different id overwrites the partition id (last writer wins).  Roots
-    already living in H2 are left untouched.
-    """
-    if not 0 <= partition_id < PARTITION_ID_LIMIT:
-        raise HeapError(f"partition id {partition_id} outside [0, 2**63)")
-    space = rt.layout.classify(root)
-    rt.tag_root_slots(root, partition_id)
-    if space is SpaceKind.H2:
-        return
-    rt.set_cache_mark(root, partition_id)
-    rt.hints.record(root)
-
-
-def unpersist(rt: "Runtime", partition_id: int) -> None:
-    """Drop the driver-side roots of a partition.
-
-    No H2 work happens here: the partition's regions become reclaimable at
-    the next major collection once nothing references them.  Unknown
-    partition ids are a no-op.
-    """
-    for slot_id in rt.slots_tagged(partition_id):
-        value = rt.read_root(slot_id)
-        rt.drop_root(slot_id)
-        if rt.layout.is_h1(value):
-            rt.hints.drop(value)
-            rt.clear_cache_mark(value)
 
 
 def etr_mark_closure(rt: "Runtime", hinted: list[PersistHint], images=None) -> int:

@@ -27,7 +27,9 @@ Roots are numbered slots (`add_root`) plus one pinned list:
 `allocate_many` allocates a graph's objects one by one and keeps the
 addresses allocated so far in that list, which `root_values` yields after
 every slot and `rewrite_roots` rewrites, so a collection that an
-allocation triggers moves them like any other root.
+allocation triggers moves them like any other root.  The persist hints
+(`persist`) are weak roots: `rewrite_roots` forwards them too, but
+`root_values` does not yield them, so a hint whose root dies is dropped.
 
 The post-write barrier after every reference store performs one range
 classification and at most one card-byte store: writes into old-generation
@@ -53,6 +55,7 @@ from .collector import Collector, PromotionOverflowError
 from .config import RuntimeConfig
 from .errors import (
     HeapCorruptionError,
+    HeapError,
     HeapExhaustedError,
     InvalidFieldError,
     InvalidHandleError,
@@ -61,11 +64,9 @@ from .errors import (
 from .h1 import H1Heap
 from .h2 import H2Heap
 from .metrics import MajorStats, MinorStats
-from .migration import HintRegistry
-from .migration import persist as _persist
-from .migration import unpersist as _unpersist
 from .objmodel import (
     HEADER_SIZE,
+    PARTITION_ID_LIMIT,
     ClassDescriptor,
     ClassRegistry,
     FieldKind,
@@ -126,7 +127,8 @@ class Runtime:
         # The addresses `allocate_many` has allocated so far, while it runs.
         self._pinned: list[int] = []
 
-        self.hints = HintRegistry()
+        # Pending persist hints: weak roots, in first-persist order.
+        self.hints: dict[int, None] = {}
         self.backward_stack: list[tuple[int, int]] = []
         self.collector = Collector(self)
         # Optional callback fired after every top-level collection:
@@ -403,10 +405,19 @@ class Runtime:
         return [*self._roots.values(), *self._pinned]
 
     def rewrite_roots(self, forwarded: dict[int, int]) -> None:
+        """Forward every address the runtime holds: root slots, the pinned
+        list and the persist hints.  A hint is weak: one whose young root
+        is not in `forwarded` died and is dropped."""
         for slot_id, value in self._roots.items():
             if value in forwarded:
                 self._roots[slot_id] = forwarded[value]
         self._pinned[:] = [forwarded.get(value, value) for value in self._pinned]
+        is_young = self.layout.is_young
+        self.hints = {
+            forwarded.get(addr, addr): None
+            for addr in self.hints
+            if addr in forwarded or not is_young(addr)
+        }
 
     def tag_root_slots(self, handle: int, partition_id: int) -> None:
         for slot_id, value in self._roots.items():
@@ -417,13 +428,38 @@ class Runtime:
         return [s for s, p in self._root_tags.items() if p == partition_id]
 
     # ------------------------------------------------------------------
-    # cache migration hooks
+    # persist hints
 
     def persist(self, root: int, partition_id: int) -> None:
-        _persist(self, root, partition_id)
+        """Mark `root` as a cache candidate for `partition_id`; the next
+        major collection migrates its closure to H2.
+
+        Idempotent for a repeated (root, id) pair; a second persist with a
+        different id overwrites the partition id (last writer wins).  Roots
+        already living in H2 are left untouched.
+        """
+        if not 0 <= partition_id < PARTITION_ID_LIMIT:
+            raise HeapError(f"partition id {partition_id} outside [0, 2**63)")
+        space = self.layout.classify(root)
+        self.tag_root_slots(root, partition_id)
+        if space is _H2:
+            return
+        self.set_cache_mark(root, partition_id)
+        self.hints.setdefault(root)
 
     def unpersist(self, partition_id: int) -> None:
-        _unpersist(self, partition_id)
+        """Drop the driver-side roots of a partition.
+
+        No H2 work happens here: the partition's regions become reclaimable
+        at the next major collection once nothing references them.  Unknown
+        partition ids are a no-op.
+        """
+        for slot_id in self.slots_tagged(partition_id):
+            value = self.read_root(slot_id)
+            self.drop_root(slot_id)
+            if self.layout.is_h1(value):
+                self.hints.pop(value, None)
+                self.clear_cache_mark(value)
 
     # ------------------------------------------------------------------
     # collections

@@ -467,6 +467,10 @@ class TraceDriver:
             raise self._fail(evt, f"family {a['family']} not defined")
         if a["count"] < 1:
             raise self._fail(evt, "count must be >= 1")
+        if a["fanout"] < 0:
+            raise self._fail(evt, "fanout must be >= 0")
+        if not 0.0 <= a["tfrac"] <= 1.0:  # also false for NaN
+            raise self._fail(evt, f"tfrac {a['tfrac']} outside [0, 1]")
         variants = self._variants(a["family"], a["fanout"], a["tfrac"])
         rng = Random(derive_seed("build", pid, a["seed"]))
         count = a["count"]

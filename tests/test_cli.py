@@ -54,6 +54,27 @@ def test_run_appends_second_row(workdir):
     assert rows[0]["checksum_digest"] == rows[1]["checksum_digest"]
 
 
+@pytest.mark.parametrize("first", ["run", "sweep"])
+def test_output_with_another_commands_header_is_refused(workdir, monkeypatch, capsys, first):
+    # run and sweep write different columns; appending one's rows under
+    # the other's header would corrupt the file, so the second command
+    # fails before it replays anything and leaves the file as it was.
+    _tmp, cfg, out = workdir
+    run = ["run", "--config", str(cfg)]
+    sweep = ["sweep", "--config", str(cfg), "--param", "mode", "--values", "TC,SD"]
+    first_cmd, second_cmd = (run, sweep) if first == "run" else (sweep, run)
+    assert main(first_cmd) == 0
+    before = out.read_bytes()
+
+    def no_replay(_cfg):
+        raise AssertionError("replayed a trace despite the header mismatch")
+
+    monkeypatch.setattr("dualheap.cli._run_one", no_replay)
+    assert main(second_cmd) == 2
+    assert "different CSV header" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
 def test_invalid_stripe_config_names_both_fields(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     trace.write_text("define_class id=1 scalars=2\n")

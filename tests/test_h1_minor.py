@@ -1,5 +1,8 @@
 """Minor collection: copying, promotion, card-table roots, backward roots."""
 
+from collections import Counter
+from random import Random
+
 import pytest
 
 from dualheap import HeapExhaustedError, Runtime, SpaceKind
@@ -163,3 +166,67 @@ def test_minor_reports_phase_seconds(rt):
     assert all(t >= 0 for t in phases.values())
     assert sum(phases.values()) <= stats.seconds
     del slot
+
+
+# -- zeroed free space ------------------------------------------------------------
+
+
+def assert_free_h1_reads_zero(rt):
+    h1 = rt.h1
+    for lo, hi in (
+        (h1.eden_top, h1.eden_base + h1.eden_size),
+        (h1.surv_top[0], h1.surv_base[0] + h1.surv_size),
+        (h1.surv_top[1], h1.surv_base[1] + h1.surv_size),
+        (h1.old_top, h1.old_end),
+    ):
+        assert not any(h1.load_words(lo, hi)), f"non-zero word in free H1 [{lo:#x}, {hi:#x})"
+
+
+def test_free_h1_space_reads_zero_after_every_collection():
+    # `allocate` stores only the class word, so a fresh object's cache word
+    # and fields are zero only because every collection zeroes what it frees.
+    with Runtime(make_config(young=20480, old=32 * KIB, tenuring=2)) as rt:
+        desc = register_node_class(rt, refs=2, scalars=2)
+        seen = Counter()
+
+        def listener(kind, stats):
+            assert_free_h1_reads_zero(rt)
+            if kind == "minor":
+                seen["flip"] += stats.objects_copied > 0
+                seen["promote"] += stats.objects_promoted > 0
+            else:
+                seen["slide_down"] += stats.old_bytes_after < stats.old_bytes_before
+
+        rt.collection_listener = listener
+        minor_collect = rt.minor_collect
+
+        def counting_minor_collect():
+            stats = minor_collect()
+            seen["escalated"] += stats.escalated_to_major
+            return stats
+
+        rt.minor_collect = counting_minor_collect
+        rng = Random(4242)
+        slots = []
+        for _ in range(600):
+            op = rng.randrange(6)
+            try:
+                if op < 3:
+                    objs = rt.allocate_many([desc] * rng.choice([1, 4, 16, 64]))
+                    for a, b in zip(objs, objs[1:]):
+                        rt.write_ref(a, 0, b)
+                        rt.write_scalar(a, 2, rng.getrandbits(64) | 1)
+                        rt.write_scalar(a, 3, rng.getrandbits(64) | 1)
+                    slots.append(rt.add_root(objs[0]))
+                elif op == 3 and slots:
+                    rt.drop_root(slots.pop(rng.randrange(len(slots))))
+                elif op == 4:
+                    rt.minor_collect()
+                else:
+                    rt.major_collect()
+            except HeapExhaustedError:
+                for slot in slots[: len(slots) // 2]:
+                    rt.drop_root(slot)
+                del slots[: len(slots) // 2]
+            assert_free_h1_reads_zero(rt)
+        assert min(seen[k] for k in ("flip", "promote", "escalated", "slide_down")) >= 3, seen

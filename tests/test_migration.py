@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from dualheap import HeapExhaustedError, RegionExhaustedError
 from dualheap import PersistHint, Runtime, SpaceKind
 from dualheap.migration import etr_mark_closure
 from dualheap.objmodel import cache_word_marked, cache_word_partition
@@ -48,7 +49,7 @@ def test_persist_idempotent(rt):
     word = rt.cache_word_of(h)
     rt.persist(h, 3)
     assert rt.cache_word_of(h) == word
-    assert rt.hints.roots().count(h) == 1
+    assert list(rt.hints).count(h) == 1
 
 
 def test_persist_second_partition_last_writer_wins(rt):
@@ -81,7 +82,7 @@ def test_persist_rejects_partition_id_outside_63_bits(rt, pid):
     assert rt.slots_tagged(3) == [slot]
     assert rt.slots_tagged(pid) == []
     assert cache_word_partition(rt.cache_word_of(root)) == 3
-    assert rt.hints.roots() == [root]
+    assert list(rt.hints) == [root]
 
 
 def test_persist_defers_movement_to_major(rt):
@@ -346,3 +347,169 @@ def test_unpersist_before_major_revokes_marking(rt):
     stats = rt.major_collect()
     assert stats.objects_moved_to_h2 == 0
     assert list(rt.iter_h2_objects()) == []
+
+
+# -- persist hints ------------------------------------------------------------------
+
+
+def minor_rule(hints, forwarded, is_young):
+    """A minor's hint rule, written out on its own: a young hint takes its
+    forwarded address or, without one, died and is dropped; any other hint
+    is kept.  Order is first-persist order."""
+    kept = {}
+    for addr in hints:
+        if is_young(addr):
+            if addr in forwarded:
+                kept[forwarded[addr]] = None
+        else:
+            kept[addr] = None
+    return list(kept)
+
+
+class HintWatch:
+    """Checks the hints around every collection of `rt`.
+
+    After each minor, `list(rt.hints)` must equal `minor_rule` applied to
+    the hints before it and the forwarding map the minor passed to
+    `rt.rewrite_roots`.  After each successful major, every hinted root
+    that was reachable at its start must be in H2, followed through the
+    forwarding maps of the major and of the minor it ran first, and no
+    hint is left."""
+
+    def __init__(self, rt):
+        self.maps = []
+        self.minors_checked = self.majors_checked = 0
+        rewrite_roots, minor, major = rt.rewrite_roots, rt.collector.minor, rt.collector.major
+
+        def spy_rewrite_roots(forwarded):
+            self.maps.append(dict(forwarded))
+            rewrite_roots(forwarded)
+
+        def spy_minor():
+            before, start = list(rt.hints), len(self.maps)
+            stats = minor()
+            (forwarded,) = self.maps[start:]
+            assert list(rt.hints) == minor_rule(before, forwarded, rt.layout.is_young)
+            self.minors_checked += bool(before)
+            return stats
+
+        def spy_major(skip_minor=False):
+            hinted = set(rt.hints) & reachable_addrs(rt)
+            start = len(self.maps)
+            stats = major(skip_minor=skip_minor)
+            for forwarded in self.maps[start:]:
+                hinted = {forwarded.get(addr, addr) for addr in hinted}
+            assert all(rt.layout.is_h2(addr) for addr in hinted)
+            assert not rt.hints
+            self.majors_checked += bool(hinted)
+            return stats
+
+        rt.rewrite_roots = spy_rewrite_roots
+        rt.collector.minor = spy_minor
+        rt.collector.major = spy_major
+
+
+def drive_random_hints(rt, rng, steps):
+    """Random builds, persists (of rooted and of unrooted objects), root
+    drops, unpersists, minors and majors.  Majors that fail for want of
+    old or H2 space are part of the sequence, and so are escalated
+    minors."""
+    desc = register_node_class(rt, refs=2, scalars=1)
+    slots = []
+    for _ in range(steps):
+        op = rng.randrange(10)
+        try:
+            if op < 3:
+                objs = rt.allocate_many([desc] * rng.choice([1, 5, 20, 60]))
+                for a, b in zip(objs, objs[1:]):
+                    rt.write_ref(a, 0, b)
+                slots.append(rt.add_root(objs[0]))
+            elif op < 5 and slots:
+                rt.persist(rt.read_root(rng.choice(slots)), rng.randrange(4))
+            elif op == 5:
+                rt.persist(rt.allocate(desc), rng.randrange(4))
+            elif op == 6 and slots:
+                rt.drop_root(slots.pop(rng.randrange(len(slots))))
+            elif op == 7:
+                pid = rng.randrange(4)
+                gone = set(rt.slots_tagged(pid))
+                rt.unpersist(pid)
+                slots = [s for s in slots if s not in gone]
+            elif op == 8:
+                rt.minor_collect()
+            elif op == 9:
+                rt.major_collect()
+        except (HeapExhaustedError, RegionExhaustedError):
+            pass
+
+
+HINT_GEOMETRY = dict(
+    young=20480, old=32 * KIB, h2_size=48 * KIB, region=16 * KIB, stripe=8 * KIB, h2_card=4 * KIB
+)
+
+
+@pytest.mark.parametrize("tenuring", [1, 2, 3])
+def test_hints_follow_the_minor_rule_and_migrate_at_major_randomized(tenuring):
+    with Runtime(make_config(tenuring=tenuring, **HINT_GEOMETRY)) as rt:
+        watch = HintWatch(rt)
+        drive_random_hints(rt, Random(2100 + tenuring), 400)
+        assert watch.minors_checked >= 20
+        assert watch.majors_checked >= 5
+
+
+def test_unrooted_persisted_young_object_is_dropped_at_next_minor(rt):
+    desc = register_node_class(rt)
+    kept_slot = rt.add_root(rt.allocate(desc))
+    rt.persist(rt.read_root(kept_slot), 1)
+    rt.persist(rt.allocate(desc), 2)  # nothing roots it
+    assert len(rt.hints) == 2
+    rt.minor_collect()
+    assert list(rt.hints) == [rt.read_root(kept_slot)]
+    assert rt.classify_handle(rt.read_root(kept_slot)) is SpaceKind.H1_YOUNG
+
+
+def test_failed_majors_drop_dead_hints_and_keep_live_ones():
+    # One 8 KiB H2 region, and a 32 KiB old generation.
+    cfg = make_config(young=80 * KIB, old=32 * KIB, tenuring=1, h2_size=8 * KIB,
+                      region=8 * KIB, stripe=4 * KIB, h2_card=2 * KIB, threads=1)
+    with Runtime(cfg) as rt:
+        desc = register_node_class(rt, refs=1, scalars=3)  # 40 bytes
+        dead_slot = rt.add_root(rt.allocate(desc))
+        rt.minor_collect()  # promotes it
+        dead = rt.read_root(dead_slot)
+        assert rt.classify_handle(dead) is SpaceKind.H1_OLD
+        rt.persist(dead, 1)
+        rt.drop_root(dead_slot)
+        live_slot = build_chain(rt, desc, 300)  # 12,000 bytes: two H2 regions
+        rt.persist(rt.read_root(live_slot), 2)
+        assert list(rt.hints) == [dead, rt.read_root(live_slot)]
+
+        with pytest.raises(RegionExhaustedError):
+            rt.major_collect()
+        live = rt.read_root(live_slot)
+        assert rt.classify_handle(live) is SpaceKind.H1_OLD  # promoted by its minor
+        assert list(rt.hints) == [live]
+
+        # 36,000 bytes of unmarked live data cannot slide into 32 KiB.
+        filler_slot = build_chain(rt, desc, 900)
+        with pytest.raises(HeapExhaustedError, match="live data"):
+            rt.major_collect()
+        assert list(rt.hints) == [live]
+        assert rt.read_root(live_slot) == live
+        assert rt.read_root(filler_slot)
+
+
+def test_escalated_minor_migrates_live_hints_and_drops_dead_ones():
+    cfg = make_config(young=80 * KIB, old=16 * KIB, tenuring=1)
+    with Runtime(cfg) as rt:
+        desc = register_node_class(rt, refs=1, scalars=3)  # 40 bytes
+        ballast = build_chain(rt, desc, 300)
+        rt.minor_collect()  # 12,000 bytes of the 16 KiB old generation
+        live_slot = build_chain(rt, desc, 150)
+        rt.persist(rt.read_root(live_slot), 5)
+        rt.persist(rt.allocate(desc), 6)  # nothing roots it
+        stats = rt.minor_collect()  # 6,000 bytes cannot be promoted
+        assert stats.escalated_to_major
+        assert rt.classify_handle(rt.read_root(live_slot)) is SpaceKind.H2
+        assert rt.classify_handle(rt.read_root(ballast)) is SpaceKind.H1_OLD
+        assert not rt.hints

@@ -83,6 +83,18 @@ def test_build_duplicate_partition_rejected():
         ])
 
 
+@pytest.mark.parametrize("mode", ["TC", "SD", "MO"])
+@pytest.mark.parametrize("args, message", [
+    ("fanout=-3 tfrac=0.0", "fanout must be >= 0"),
+    ("fanout=2 tfrac=nan", "tfrac nan outside"),
+    ("fanout=2 tfrac=1.5", "tfrac 1.5 outside"),
+    ("fanout=2 tfrac=-2", "tfrac -2.0 outside"),
+], ids=["fanout-neg", "tfrac-nan", "tfrac-above-1", "tfrac-neg"])
+def test_build_malformed_shape_is_a_trace_error(mode, args, message):
+    with pytest.raises(TraceError, match=f"event 2: {message}"):
+        drive(BASE + [f"build_partition part=0 family=1 count=5 {args} seed=1"], mode)
+
+
 # -- access ----------------------------------------------------------------------
 
 
